@@ -1,0 +1,7 @@
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
+
+import run  # noqa: E402,F401  -- pins BLAS to one thread before numpy loads
