@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from loop import best_latencies, run_cycles
+from loop import label_medians, run_cycles
 from tracing import Tracer
 
 EQUATIONS = ("yamabe", "biharmonic", "einstein_form")
@@ -24,23 +24,24 @@ PAIRINGS = ("flat-flat", "flat-sphere", "sphere-flat", "sphere-sphere")
 TRACE_DIR = Path(__file__).resolve().parent / "traces"
 
 
-def traced_run(package, ops, rebuild, seconds) -> dict:
+def traced_run(package, ops, rebuild, seconds, clock=None) -> dict:
     """`ops` untraced, then `rebuild(wrap)`'s ops traced, each for half of `seconds`."""
-    reference = run_cycles(ops, seconds / 2)
+    reference = run_cycles(ops, seconds / 2, clock)
     tracer = Tracer()
     uninstall = tracer.install(package)
     try:
         traced_ops = rebuild(tracer.wrap_field)
-        traced = run_cycles(traced_ops, seconds / 2, tracer)
+        traced = run_cycles(traced_ops, seconds / 2, clock, tracer)
     finally:
         uninstall()
     want = reference["digests"][0]
     result = dict(traced)
     result["traced_equal"] = all(cycle == want for cycle in reference["digests"] + traced["digests"])
     result["lat"] = reference["lat"] + traced["lat"]
+    result["ref"] = reference["ref"] + traced["ref"]
     result["failures"] = reference["failures"] + traced["failures"]
     result["spent"] = reference["spent"] + traced["spent"]
-    overhead = sum(best_latencies(traced)) / sum(best_latencies(reference))
+    overhead = sum(label_medians(traced).values()) / sum(label_medians(reference).values())
     declared, timings = layer_metrics(tracer, traced_ops, traced)
     declared["trace.overhead"] = overhead
     result.update(declared=declared, timings=timings, tracer=tracer)

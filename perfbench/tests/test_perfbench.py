@@ -26,7 +26,7 @@ def build(workload, seed, workdir, **kwargs):
 
 
 def one_cycle(ops, tracer=None):
-    return run_cycles(ops, 0.0, tracer)
+    return run_cycles(ops, 0.0, tracer=tracer)
 
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
@@ -83,3 +83,36 @@ def test_without_sources_the_run_fails_without_a_result(tmp_path):
                           timeout=60)
     assert proc.returncode != 0
     assert proc.stdout.strip() == ""
+
+
+def test_host_clock_scales_by_the_kernel_samples_around_a_section():
+    from hostspeed import REF_KERNEL_S, HostClock
+
+    clock = HostClock(interval=None).start()
+    mark = clock.mark()
+    own, ref = clock.measure(mark, 0.5)
+    window = clock.samples[mark[0]:]
+    assert len(window) == 2 and own == 0.5
+    assert ref == pytest.approx(0.5 * REF_KERNEL_S / (sum(window) / 2))
+
+
+def test_host_clock_takes_handler_time_out_of_a_section():
+    import signal
+    import time
+
+    from hostspeed import HostClock
+
+    before = signal.getsignal(signal.SIGALRM)
+    clock = HostClock(interval=0.01).start()
+    try:
+        mark = clock.mark()
+        t = time.perf_counter()
+        while time.perf_counter() - t < 0.2:
+            pass
+        elapsed = time.perf_counter() - t
+        own, _ = clock.measure(mark, elapsed)
+    finally:
+        clock.stop()
+    assert len(clock.samples) - mark[0] > 3          # samples were taken inside the section
+    assert 0.5 * elapsed < own < elapsed                # the handler's time is not the section's
+    assert signal.getsignal(signal.SIGALRM) is before   # the handler is uninstalled
