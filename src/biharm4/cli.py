@@ -183,7 +183,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     csv_path = cfg.get("csv")
     if csv_path:
         lines = ["x1,x2,x3,x4,residual"]
-        kept = [p for p in grid if entry.field.distance_to_singular(p) > 1e-9]
+        kept = grid[residuals.domain_mask(entry.field, grid)]
         for p, v in zip(kept, report.values):
             lines.append(",".join(repr(float(c)) for c in p) + f",{repr(float(v))}")
         Path(csv_path).write_text("\n".join(lines) + "\n")
@@ -454,8 +454,8 @@ _OPTION_KEYS = {
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    cfg = _merge_config(args, _OPTION_KEYS[args.cmd])
     try:
+        cfg = _merge_config(args, _OPTION_KEYS[args.cmd])
         if args.cmd == "verify":
             return cmd_verify(cfg)
         if args.cmd == "mobius-audit":
@@ -472,7 +472,7 @@ def main(argv=None) -> int:
         if getattr(exc, "residual", None) is not None:
             print(f"last residual: {_sci(exc.residual)}", file=sys.stderr)
         return EXIT_SOLVER
-    except (ValueError, DomainError, FileNotFoundError) as exc:
+    except (ValueError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_USAGE

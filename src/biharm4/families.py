@@ -1,15 +1,16 @@
 """Closed-form conformal-factor families and their declared constants.
 
 The catalog collects every factor whose biharmonicity is known in closed
-form, each with analytic derivatives and the constants (a, A, R_h) it
-satisfies in Delta lam - a lam = A lam^3 and 6A + 2a/lam^2 + R_h = 0.
+form, each a LogQuadratic with exact derivatives, and the constants
+(a, A, R_h) it satisfies in Delta lam - a lam = A lam^3 and
+6A + 2a/lam^2 + R_h = 0.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
@@ -17,15 +18,13 @@ from scipy.integrate import quad
 
 from .fields import (
     DomainError,
+    LogQuadratic,
     ScalarField4,
     SingularLocus,
     as_point,
     fd_gradient,
-    field_affine,
-    field_power,
-    field_product,
+    quadratic_term,
     radial_power_field,
-    radius_sq_field,
 )
 
 
@@ -45,6 +44,7 @@ class Bubble:
     n: int
     delta: float
     x0: tuple
+    closed_form: LogQuadratic = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 3:
@@ -54,32 +54,24 @@ class Bubble:
         object.__setattr__(self, "x0", tuple(float(c) for c in np.atleast_1d(self.x0)))
         if len(self.x0) != self.n:
             raise ValueError("center dimension must match n")
-
-    def _core(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        y = np.asarray(x, dtype=float) - np.asarray(self.x0)
-        return y, self.delta**2 + float(y @ y)
+        m = (self.n - 2) / 2.0
+        object.__setattr__(self, "closed_form", LogQuadratic(
+            (2.0 * self.delta) ** m, (quadratic_term(-m, c0=self.delta**2, center=self.x0),)))
 
     def value(self, x) -> float:
-        _, D = self._core(x)
-        return (2.0 * self.delta / D) ** ((self.n - 2) / 2.0)
+        return self.closed_form.value(x)
 
     def gradient(self, x) -> np.ndarray:
-        y, D = self._core(x)
-        m = (self.n - 2) / 2.0
-        return -2.0 * m * (2.0 * self.delta) ** m * y / D ** (m + 1.0)
+        return self.closed_form.grad(x)
 
     def hessian(self, x) -> np.ndarray:
-        y, D = self._core(x)
-        m = (self.n - 2) / 2.0
-        c = -2.0 * m * (2.0 * self.delta) ** m
-        return c * (np.eye(self.n) / D ** (m + 1.0) - 2.0 * (m + 1.0) * np.outer(y, y) / D ** (m + 2.0))
+        return self.closed_form.hess(x)
 
     def laplacian(self, x) -> float:
         return float(np.trace(self.hessian(x)))
 
     def as_field(self) -> ScalarField4:
-        return ScalarField4(self.value, self.gradient, self.hessian,
-                            name=f"bubble(n={self.n},delta={self.delta})")
+        return self.closed_form.field(name=f"bubble(n={self.n},delta={self.delta})")
 
 
 @dataclass(frozen=True)
@@ -111,11 +103,8 @@ def classical_example(name: str, alpha: float | None = None) -> CatalogEntry:
                             a=0.0, A=-2.0, R_h=12.0, grid_radius=5.0,
                             note="identity into the round chart metric")
     if name == "poincare_ball":
-        base = field_affine(radius_sq_field(), -1.0, 1.0)  # 1 - |x|^2
-        lam = field_power(base, -1.0)
-        lam = field_affine(lam, 2.0, 0.0, name="2/(1-|x|^2)")
-        lam = ScalarField4(lam.value, lam.grad, lam.hess,
-                           singular_set=(SingularLocus((0.0,) * 4, 1.0),), name=lam.name)
+        lam = LogQuadratic(2.0, (quadratic_term(-1.0, c2=-1.0, c0=1.0),)).field(
+            name="2/(1-|x|^2)", singular_set=(SingularLocus((0.0,) * 4, 1.0),))
         return CatalogEntry(name, lam, a=0.0, A=2.0, R_h=-12.0, grid_radius=0.9,
                             note="identity into the ball model; defined for |x| < 1")
     if name == "power_alpha":
@@ -150,13 +139,14 @@ def solution_catalog() -> list[CatalogEntry]:
 
 
 def perturbed(entry_field: ScalarField4, amplitude: float = 0.1) -> ScalarField4:
-    """Multiply a factor by 1 + amplitude * x1^2/(1+|x|^2) (breaks the equation)."""
-    from .fields import coordinate_field
-
-    x1sq = field_product(coordinate_field(0), coordinate_field(0))
-    bump = field_product(x1sq, field_power(field_affine(radius_sq_field(), 1.0, 1.0), -1.0))
-    factor = field_affine(bump, amplitude, 1.0, name=f"1+{amplitude}*x1^2/(1+|x|^2)")
-    return field_product(entry_field, factor, name=f"perturbed({entry_field.name})")
+    """Multiply a closed-form factor by 1 + amplitude * x1^2/(1+|x|^2)
+    = (1+|x|^2+amplitude*x1^2)/(1+|x|^2), which breaks the equation."""
+    if entry_field.closed_form is None:
+        raise ValueError("perturbed() needs a closed-form factor")
+    bumped = (np.diag([1.0 + amplitude, 1.0, 1.0, 1.0]), np.zeros(4), 1.0, 1.0)
+    factor = LogQuadratic(1.0, (bumped, quadratic_term(-1.0, c0=1.0)))
+    return (entry_field.closed_form * factor).field(name=f"perturbed({entry_field.name})",
+                                                     singular_set=entry_field.singular_set)
 
 
 # ---------------------------------------------------------------------------

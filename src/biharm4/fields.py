@@ -8,11 +8,17 @@ negative spectrum.  For a conformal metric g = mu^2 dx^2 in dimension 4,
 Evaluators are plain callables of a coordinate vector; everything here is
 dimension-agnostic except the curved-metric identity, which is hard-coded
 for dimension 4 (the only dimension where curved evaluation is needed).
+
+Every closed-form conformal factor of the package is a LogQuadratic,
+C * prod_i q_i(x)^p_i with each q_i quadratic; a field built from one
+carries it as `closed_form`, which gives exact jets of ln lam on a batch of
+points.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -46,8 +52,9 @@ class SingularLocus:
     center: tuple
     radius: float = 0.0
 
-    def distance(self, x: np.ndarray) -> float:
-        d = float(np.linalg.norm(x - np.asarray(self.center)))
+    def distance(self, x: np.ndarray):
+        """Distance from a point, or from each row of a batch of points."""
+        d = np.linalg.norm(np.asarray(x) - np.asarray(self.center), axis=-1)
         return abs(d - self.radius)
 
 
@@ -58,6 +65,8 @@ class ScalarField4:
     `value` maps a coordinate vector to a float; `grad` to a vector of the
     same length; `hess` to a symmetric matrix.  Fields are immutable and the
     evaluators are pure, so instances are safe to share across workers.
+    `closed_form` is the LogQuadratic the evaluators come from, if any; the
+    residuals use its exact jets instead of the evaluators.
     """
 
     value: Callable[[np.ndarray], float]
@@ -65,6 +74,7 @@ class ScalarField4:
     hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
     singular_set: tuple = ()
     name: str = ""
+    closed_form: Optional["LogQuadratic"] = None
 
     def __call__(self, x) -> float:
         x = as_point(x)
@@ -83,6 +93,130 @@ class ScalarField4:
     def check_domain(self, x: np.ndarray, margin: float = SINGULAR_EXCLUSION) -> None:
         if self.distance_to_singular(x) < margin:
             raise DomainError(f"field {self.name or '<anonymous>'} is singular within {margin} of {x}")
+
+
+def _positive(q: float, x) -> float:
+    if not q > 0.0:
+        raise DomainError(f"log-quadratic factor has q = {q:.3g} <= 0 at {x}")
+    return q
+
+
+def quadratic_term(p: float, c2: float = 1.0, c0: float = 0.0, center=None, w=None) -> tuple:
+    """The term (M, w, c, p) of (c2 |x-b|^2 + w.(x-b) + c0)^p, b the center
+    (the origin of R^4 by default)."""
+    b = np.zeros(4) if center is None else np.asarray(center, dtype=float)
+    wb = np.zeros(b.size) if w is None else np.asarray(w, dtype=float)
+    return (c2 * np.eye(b.size), wb - 2.0 * c2 * b, c2 * float(b @ b) - float(wb @ b) + c0, p)
+
+
+@dataclass(frozen=True, eq=False)
+class LogQuadratic:
+    """lam(x) = C * prod_i q_i(x)^p_i with q_i(x) = x^T M_i x + w_i.x + c_i.
+
+    `terms` holds one (M_i, w_i, c_i, p_i) per factor, M_i symmetric.  The
+    class is closed under products and positive scaling.  Its domain is
+    {q_i > 0 for every i}; evaluation anywhere else raises DomainError.
+    `value`, `grad` and `hess` evaluate lam at one point; `jets` gives
+    ln lam's exact gradient, Hessian and gradient of the Laplacian on a
+    batch of points, which is all the 3rd-order residuals need.
+    """
+
+    C: float
+    terms: tuple = ()
+
+    def __post_init__(self):
+        if not (math.isfinite(self.C) and self.C > 0):
+            raise ValueError("a log-quadratic factor needs a positive finite constant")
+        terms = []
+        for M, w, c, p in self.terms:
+            M = np.asarray(M, dtype=float)
+            terms.append((0.5 * (M + M.T), np.asarray(w, dtype=float), float(c), float(p)))
+        object.__setattr__(self, "C", float(self.C))
+        object.__setattr__(self, "terms", tuple(terms))
+
+    def __mul__(self, other):
+        if isinstance(other, LogQuadratic):
+            return LogQuadratic(self.C * other.C, self.terms + other.terms)
+        if isinstance(other, numbers.Real):
+            return LogQuadratic(self.C * other, self.terms)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def field(self, name: str = "", singular_set: tuple = ()) -> ScalarField4:
+        return ScalarField4(self.value, self.grad, self.hess, singular_set=singular_set,
+                            name=name, closed_form=self)
+
+    # the single-point evaluators use ndarray.dot, which costs about half of
+    # `@` on 4-vectors; sobolev_quotient and tension_norm call them per point
+    def value(self, x) -> float:
+        x = np.asarray(x, dtype=float)
+        v = self.C
+        for M, w, c, p in self.terms:
+            v *= _positive(float(x.dot(M.dot(x) + w)) + c, x) ** p
+        return v
+
+    def _at(self, x: np.ndarray):
+        """lam and, per term, (p/q, grad q, M, q) at one point."""
+        v, parts = self.C, []
+        for M, w, c, p in self.terms:
+            Mx = M.dot(x)
+            Mxw = Mx + w
+            q = _positive(float(x.dot(Mxw)) + c, x)
+            v *= q**p
+            parts.append((p / q, Mx + Mxw, M, q))
+        return v, parts
+
+    def grad(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        v, parts = self._at(x)
+        g = np.zeros(x.shape)
+        for r, gq, _, _ in parts:
+            g += (v * r) * gq
+        return g
+
+    def hess(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        v, parts = self._at(x)
+        g, H = np.zeros(x.shape), np.zeros((x.size, x.size))
+        for r, gq, M, q in parts:
+            g += r * gq
+            H += (2.0 * r) * M - (r / q) * (gq[:, None] * gq)
+        return v * (H + g[:, None] * g)
+
+    def _quadratics(self, X: np.ndarray):
+        """(M, p, q, grad q) per term at the rows of X."""
+        for M, w, c, p in self.terms:
+            MX = X @ M
+            yield M, p, np.einsum("ki,ki->k", X, MX + w) + c, 2.0 * MX + w
+
+    def in_domain(self, X) -> np.ndarray:
+        """Whether every q_i is positive, per row of X."""
+        X = np.asarray(X, dtype=float)
+        ok = np.ones(len(X), dtype=bool)
+        for _, _, q, _ in self._quadratics(X):
+            ok &= q > 0.0
+        return ok
+
+    def jets(self, X):
+        """(lam, grad ln lam, Hess ln lam, grad Delta ln lam) at the rows of X.
+
+        Shapes (P,), (P, n), (P, n, n) and (P, n) for X of shape (P, n)."""
+        X = np.asarray(X, dtype=float)
+        P, n = X.shape
+        lam = np.full(P, self.C)
+        g, H, gL = np.zeros((P, n)), np.zeros((P, n, n)), np.zeros((P, n))
+        for M, p, q, gq in self._quadratics(X):
+            if not np.all(q > 0.0):
+                raise DomainError("log-quadratic factor has q <= 0 at some point of the batch")
+            r = (p / q)[:, None]
+            gq_sq = np.einsum("ki,ki->k", gq, gq)[:, None]
+            lam *= q**p
+            g += r * gq
+            H += r[:, :, None] * (2.0 * M - gq[:, :, None] * gq[:, None, :] / q[:, None, None])
+            # grad of p (2 tr M / q - |grad q|^2 / q^2), with grad |grad q|^2 = 4 M grad q
+            gL -= (r / q[:, None]) * (2.0 * np.trace(M) * gq + 4.0 * gq @ M - 2.0 * gq_sq / q[:, None] * gq)
+        return lam, g, H, gL
 
 
 def fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray, h: float = DEFAULT_FD_STEP) -> np.ndarray:
@@ -106,24 +240,6 @@ def fd_laplacian(f: Callable[[np.ndarray], float], x: np.ndarray, h: float = DEF
         e[i] = h
         acc += f(x + e) - 2.0 * fc + f(x - e)
     return float(acc / h**2)
-
-
-def fd_hessian(f: Callable[[np.ndarray], float], x: np.ndarray, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    H = np.empty((n, n))
-    fc = f(x)
-    for i in range(n):
-        ei = np.zeros_like(x)
-        ei[i] = h
-        H[i, i] = (f(x + ei) - 2.0 * fc + f(x - ei)) / h**2
-        for j in range(i + 1, n):
-            ej = np.zeros_like(x)
-            ej[j] = h
-            H[i, j] = H[j, i] = (
-                f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
-            ) / (4.0 * h**2)
-    return H
 
 
 def _require_analytic(f: ScalarField4, what: str) -> None:
@@ -169,21 +285,12 @@ class EinsteinDatum:
         return self.n * self.a
 
 
+_SPHERICAL_MU = LogQuadratic(2.0, (quadratic_term(-1.0, c0=1.0),))
+
+
 def spherical_mu() -> ScalarField4:
     """Conformal factor of the round chart metric, mu = 2/(1+|x|^2)."""
-
-    def value(x):
-        return 2.0 / (1.0 + float(x @ x))
-
-    def grad(x):
-        return -4.0 * x / (1.0 + float(x @ x)) ** 2
-
-    def hess(x):
-        r2 = float(x @ x)
-        d = 1.0 + r2
-        return -4.0 * np.eye(x.size) / d**2 + 16.0 * np.outer(x, x) / d**3
-
-    return ScalarField4(value, grad, hess, name="spherical_mu")
+    return _SPHERICAL_MU.field(name="spherical_mu")
 
 
 @dataclass(frozen=True)
@@ -270,128 +377,13 @@ def fd_consistency(f: ScalarField4, x, h: float = DEFAULT_FD_STEP) -> FdDiscrepa
     return FdDiscrepancy(ge, le, h)
 
 
-# ---------------------------------------------------------------------------
-# analytic field algebra: enough combinators to assemble every closed-form
-# factor in the catalog with exact gradients and Hessians
-# ---------------------------------------------------------------------------
-
 def constant_field(c: float) -> ScalarField4:
-    return ScalarField4(
-        lambda x: c,
-        lambda x: np.zeros_like(x),
-        lambda x: np.zeros((x.size, x.size)),
-        name=f"const({c})",
-    )
-
-
-def radius_sq_field(center=None) -> ScalarField4:
-    """f(x) = |x - c|^2."""
-    c = None if center is None else np.asarray(center, dtype=float)
-
-    def sh(x):
-        return x if c is None else x - c
-
-    return ScalarField4(
-        lambda x: float(sh(x) @ sh(x)),
-        lambda x: 2.0 * sh(x),
-        lambda x: 2.0 * np.eye(x.size),
-        name="radius_sq",
-    )
-
-
-def coordinate_field(i: int) -> ScalarField4:
-    def grad(x):
-        g = np.zeros_like(x)
-        g[i] = 1.0
-        return g
-
-    return ScalarField4(lambda x: float(x[i]), grad, lambda x: np.zeros((x.size, x.size)), name=f"x{i + 1}")
-
-
-def field_sum(f: ScalarField4, g: ScalarField4, name: str = "") -> ScalarField4:
-    return ScalarField4(
-        lambda x: f.value(x) + g.value(x),
-        (lambda x: np.asarray(f.grad(x)) + np.asarray(g.grad(x))) if f.grad and g.grad else None,
-        (lambda x: np.asarray(f.hess(x)) + np.asarray(g.hess(x))) if f.hess and g.hess else None,
-        singular_set=f.singular_set + g.singular_set,
-        name=name or f"({f.name}+{g.name})",
-    )
-
-
-def field_affine(f: ScalarField4, scale: float = 1.0, shift: float = 0.0, name: str = "") -> ScalarField4:
-    return ScalarField4(
-        lambda x: scale * f.value(x) + shift,
-        (lambda x: scale * np.asarray(f.grad(x))) if f.grad else None,
-        (lambda x: scale * np.asarray(f.hess(x))) if f.hess else None,
-        singular_set=f.singular_set,
-        name=name or f"({scale}*{f.name}+{shift})",
-    )
-
-
-def field_product(f: ScalarField4, g: ScalarField4, name: str = "") -> ScalarField4:
-    def value(x):
-        return f.value(x) * g.value(x)
-
-    grad = None
-    hess = None
-    if f.grad and g.grad:
-        def grad(x):
-            return f.value(x) * np.asarray(g.grad(x)) + g.value(x) * np.asarray(f.grad(x))
-    if f.has_analytic and g.has_analytic:
-        def hess(x):
-            gf, gg = np.asarray(f.grad(x)), np.asarray(g.grad(x))
-            return (
-                f.value(x) * np.asarray(g.hess(x))
-                + g.value(x) * np.asarray(f.hess(x))
-                + np.outer(gf, gg)
-                + np.outer(gg, gf)
-            )
-    return ScalarField4(value, grad, hess, singular_set=f.singular_set + g.singular_set,
-                        name=name or f"({f.name}*{g.name})")
-
-
-def field_power(f: ScalarField4, p: float, name: str = "") -> ScalarField4:
-    """f^p for f > 0 on its domain (chain rule for gradient and Hessian)."""
-
-    def value(x):
-        return f.value(x) ** p
-
-    grad = None
-    hess = None
-    if f.grad:
-        def grad(x):
-            return p * f.value(x) ** (p - 1.0) * np.asarray(f.grad(x))
-    if f.has_analytic:
-        def hess(x):
-            v = f.value(x)
-            gf = np.asarray(f.grad(x))
-            return p * v ** (p - 1.0) * np.asarray(f.hess(x)) + p * (p - 1.0) * v ** (p - 2.0) * np.outer(gf, gf)
-    return ScalarField4(value, grad, hess, singular_set=f.singular_set, name=name or f"{f.name}^{p}")
-
-
-def field_log(f: ScalarField4, name: str = "") -> ScalarField4:
-    """ln f for f > 0; gradient grad f / f, Hessian Hf/f - grad f grad f^T / f^2."""
-
-    def value(x):
-        return math.log(f.value(x))
-
-    grad = None
-    hess = None
-    if f.grad:
-        def grad(x):
-            return np.asarray(f.grad(x)) / f.value(x)
-    if f.has_analytic:
-        def hess(x):
-            v = f.value(x)
-            gf = np.asarray(f.grad(x))
-            return np.asarray(f.hess(x)) / v - np.outer(gf, gf) / v**2
-    return ScalarField4(value, grad, hess, singular_set=f.singular_set, name=name or f"ln({f.name})")
+    """The constant c > 0."""
+    return LogQuadratic(c).field(name=f"const({c})")
 
 
 def radial_power_field(p: float, center=None, coeff: float = 1.0, name: str = "") -> ScalarField4:
-    """f(x) = coeff * |x - c|^p, singular at the center for p < 0."""
+    """f(x) = coeff * |x - c|^p for coeff > 0, outside the center c."""
     c = np.zeros(4) if center is None else np.asarray(center, dtype=float)
-    base = field_power(radius_sq_field(c), p / 2.0)
-    out = field_affine(base, coeff, 0.0, name=name or f"{coeff}*|x-c|^{p}")
-    singular = (SingularLocus(tuple(c)),) if p < 0 or p != int(p) else ()
-    return ScalarField4(out.value, out.grad, out.hess, singular_set=singular, name=out.name)
+    return LogQuadratic(coeff, (quadratic_term(p / 2.0, center=c),)).field(
+        name=name or f"{coeff}*|x-c|^{p}", singular_set=(SingularLocus(tuple(c)),))

@@ -22,13 +22,12 @@ import numpy as np
 
 from .fields import (
     DomainError,
+    LogQuadratic,
     ScalarField4,
     as_point,
-    field_affine,
-    field_power,
-    field_product,
+    constant_field,
+    quadratic_term,
     radial_power_field,
-    radius_sq_field,
 )
 
 PAIRINGS = ("flat-flat", "flat-sphere", "sphere-flat", "sphere-sphere")
@@ -93,30 +92,9 @@ def mobius_apply(T: MobiusTransform, x) -> np.ndarray:
     return T.out_vec + T.alpha * (T.q_matrix @ y)
 
 
-def _quadratic_field(c2: float, w: np.ndarray, c0: float, b: np.ndarray, name: str = "") -> ScalarField4:
-    """q(x) = c2 |x-b|^2 + <w, x-b> + c0 with exact derivatives."""
-
-    def value(x):
-        y = x - b
-        return c2 * float(y @ y) + float(w @ y) + c0
-
-    def grad(x):
-        return 2.0 * c2 * (x - b) + w
-
-    def hess(x):
-        return 2.0 * c2 * np.eye(x.size)
-
-    return ScalarField4(value, grad, hess, name=name or "quadratic")
-
-
-def _half_plus_field() -> ScalarField4:
-    # (1 + |x|^2)/2, the factor of the identity chart-to-flat leg
-    return field_affine(radius_sq_field(), 0.5, 0.5, name="(1+|x|^2)/2")
-
-
 def mobius_conformal_factor(T: MobiusTransform, pairing: str) -> ScalarField4:
-    """Conformal factor of T under the given metric pairing, with analytic
-    derivatives.
+    """Conformal factor of T under the given metric pairing, as a closed-form
+    (log-quadratic) field.
 
     flat->flat:     alpha / |x-b|^eps
     flat->sphere:   2 alpha / ((1+|a|^2)|x-b|^eps + 2 alpha <a, Q(x-b)> + alpha^2 |x-b|^(2-eps))
@@ -134,30 +112,26 @@ def mobius_conformal_factor(T: MobiusTransform, pairing: str) -> ScalarField4:
 
     if pairing == "flat-flat":
         if eps == 0:
-            from .fields import constant_field
-
             return constant_field(al)
         return radial_power_field(-2.0, center=b, coeff=al, name=f"{al}/|x-b|^2")
 
+    # (1+|x|^2)/2, the factor of the identity chart-to-flat leg
+    half_plus = LogQuadratic(0.5, (quadratic_term(1.0, c0=1.0),))
     if pairing in ("flat-sphere", "sphere-sphere"):
         # denominator of the composed factor; quadratic in x for either eps
         w = 2.0 * al * (Q.T @ a)
         if eps == 2:
-            D = _quadratic_field(1.0 + float(a @ a), w, al**2, b, name="fs_denom")
+            denom = quadratic_term(-1.0, 1.0 + float(a @ a), al**2, center=b, w=w)
         else:
-            D = _quadratic_field(al**2, w, 1.0 + float(a @ a), b, name="fs_denom")
-        fs = field_affine(field_power(D, -1.0), 2.0 * al, 0.0, name="flat_sphere_factor")
+            denom = quadratic_term(-1.0, al**2, 1.0 + float(a @ a), center=b, w=w)
+        fs = LogQuadratic(2.0 * al, (denom,))
         if pairing == "flat-sphere":
-            return fs
-        return field_product(_half_plus_field(), fs, name="sphere_sphere_factor")
+            return fs.field(name="flat_sphere_factor")
+        return (half_plus * fs).field(name="sphere_sphere_factor")
 
     # sphere-flat
-    leg = radial_power_field(-float(eps), center=b, coeff=al) if eps else None
-    if leg is None:
-        from .fields import constant_field
-
-        leg = constant_field(al)
-    return field_product(_half_plus_field(), leg, name="sphere_flat_factor")
+    leg = radial_power_field(-float(eps), center=b, coeff=al) if eps else constant_field(al)
+    return (half_plus * leg.closed_form).field(name="sphere_flat_factor", singular_set=leg.singular_set)
 
 
 @dataclass(frozen=True)
@@ -271,7 +245,7 @@ def classify_mobius(T: MobiusTransform, pairing: str,
     fitted cubic coefficient for flat-domain cases.
     """
     from .fields import ConformalMetricDescriptor, EinsteinDatum
-    from .residuals import biharmonic_residual, estimate_A, standard_grid, tension_norm
+    from .residuals import estimate_A, residual_report, standard_grid, tension_norm
 
     if pairing not in PAIRINGS:
         raise ValueError(f"unknown pairing {pairing!r}")
@@ -282,11 +256,8 @@ def classify_mobius(T: MobiusTransform, pairing: str,
     radius = 3.0 if spherical_domain else 5.0
     grid = standard_grid(n_points, radius, factor.singular_set, seed=seed)
 
-    sup_bh = 0.0
-    sup_tension = 0.0
-    for p in grid:
-        sup_bh = max(sup_bh, float(np.linalg.norm(biharmonic_residual(factor, datum, p, metric=metric))))
-        sup_tension = max(sup_tension, tension_norm(factor, 4, p, metric=metric))
+    sup_bh = residual_report("biharmonic", factor, grid, datum=datum, metric=metric).sup
+    sup_tension = max(tension_norm(factor, 4, p, metric=metric) for p in grid)
     evidence = {"biharmonic_residual_sup": sup_bh, "tension_sup": sup_tension,
                 "einstein_a": datum.a, "grid_radius": radius, "n_points": int(len(grid))}
 

@@ -15,11 +15,14 @@ All operators act in the metric given by a ConformalMetricDescriptor; the
 returned vectors are coordinate components in the chart, including the
 mu^-2 index-raising factor of the curved gradient.
 
-Third derivatives are never required analytically: when a field carries an
-analytic Hessian, the scalar Delta ln lam is assembled exactly and its
-gradient taken by central differences (step 1e-4); without analytic data
-everything falls back to nested finite differences (step 1e-3, looser
-tolerance).
+The 3rd-order residuals have two paths.  A field that carries a
+LogQuadratic (and a metric whose factor carries one) takes the exact
+path: ln lam's gradient, Hessian and gradient of the Laplacian come in
+closed form, a whole grid in one batched call, and residuals of true
+solutions vanish to roundoff.  Every other field takes the value-only
+path: nested central differences at step 1e-3, shrunk near the singular
+set, good to about 1e-4.  The yamabe residual needs only a Laplacian and
+uses the field's Hessian when it has one.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from scipy.stats import qmc
 from .fields import (
     DEFAULT_FD_STEP,
     FLAT,
+    SINGULAR_EXCLUSION,
     ConformalMetricDescriptor,
     DomainError,
     EinsteinDatum,
@@ -41,15 +45,9 @@ from .fields import (
     as_point,
     fd_gradient,
     fd_laplacian,
-    field_log,
 )
 
-ANALYTIC_THIRD_DERIV_STEP = 1e-4
 FD_THIRD_DERIV_STEP = 1e-3
-# residual tolerances matched to fd truncation error
-TOL_ANALYTIC = 1e-6
-TOL_BIHARMONIC = 1e-5
-TOL_PURE_FD = 1e-4
 GRID_EXCLUSION = 0.05
 
 EQUATIONS = ("yamabe", "biharmonic", "einstein_form", "curvature_law", "isoparametric")
@@ -103,42 +101,77 @@ def _local_step(lam: ScalarField4, x: np.ndarray, h: float) -> float:
     return h * min(1.0, max(d, 0.01)) ** 1.5
 
 
-def _chart_quantities(lam: ScalarField4, metric: ConformalMetricDescriptor):
-    """Pointwise evaluators for u = ln lam in the chart of the given metric.
-
-    Returns (mu_value, lap_g_u, grad_u, grad_sq_g, grad_of_grad_sq) where
-    grad_sq_g(y) = |grad_g u|_g^2 and grad_of_grad_sq is the coordinate
-    gradient of that scalar (analytic when possible, else None).
-    """
-    u = field_log(lam)
-    analytic = lam.has_analytic
-    hstep = ANALYTIC_THIRD_DERIV_STEP if analytic else FD_THIRD_DERIV_STEP
-
+def _closed_forms(lam: ScalarField4, metric: ConformalMetricDescriptor):
+    """(record of lam, record of mu or None for the flat metric) when both
+    carry one, so the exact path applies; None otherwise."""
+    if lam.closed_form is None:
+        return None
     if metric.kind == "flat":
-        mu_value = None
+        return lam.closed_form, None
+    mu = metric.factor().closed_form
+    return None if mu is None else (lam.closed_form, mu)
+
+
+def _exact_residuals(equation: str, lam_cf, mu_cf, X: np.ndarray, n: int, a: float) -> np.ndarray:
+    """Biharmonic or einstein_form residual vectors at the rows of X, exact.
+
+    With u = ln lam, m = ln mu and e = mu^-2: Delta_g u = e L with
+    L = Delta u + 2 <grad m, grad u>, |grad_g u|^2 = e s with s = |grad u|^2,
+    and grad e = -2 e grad m."""
+    lam, gu, Hu, gLu = lam_cf.jets(X)
+    if mu_cf is None:
+        e, gm, Hm = np.ones(len(X)), np.zeros_like(gu), np.zeros_like(Hu)
     else:
-        mu = metric.factor()
-        mu_log = field_log(mu)
-        mu_value = mu.value
+        mu, gm, Hm, _ = mu_cf.jets(X)
+        e = mu**-2.0
+
+    def dot(u, v):
+        return np.einsum("ki,ki->k", u, v)[:, None]
+
+    def mat(H, v):
+        return np.einsum("kij,kj->ki", H, v)
+
+    e = e[:, None]
+    s = dot(gu, gu)
+    Hgu = mat(Hu, gu)
+    L = np.trace(Hu, axis1=1, axis2=2)[:, None] + 2.0 * dot(gm, gu)
+    grad_L = gLu + 2.0 * mat(Hm, gu) + 2.0 * mat(Hu, gm)
+    if equation == "biharmonic":
+        vec = (e * (grad_L - 2.0 * L * gm) - e * (2.0 * L + (n - 2) * s) * gu + 2.0 * a * gu
+               + (6 - n) * e * (Hgu - s * gm))
+    else:
+        # S = lam^2 (e (K - (n-4)/2 s) + a) with K = L + s, so Delta_g lam = lam e K
+        K = L + s
+        B = K - 0.5 * (n - 4) * s
+        grad_S = lam[:, None] ** 2 * (2.0 * (e * B + a) * gu + e * (grad_L + (6 - n) * Hgu - 2.0 * B * gm))
+        vec = grad_S - 4.0 * lam[:, None] ** 2 * e * K * gu
+    return vec * e
+
+
+def _chart_quantities(lam: ScalarField4, metric: ConformalMetricDescriptor):
+    """Value-only evaluators for u = ln lam in the chart of the given metric.
+
+    Returns (mu_value, lap_g_u, grad_u, grad_sq_g) where
+    grad_sq_g(y) = |grad_g u|_g^2, all by central differences."""
+
+    def u(y):
+        return math.log(lam.value(y))
+
+    def step(y):
+        return _local_step(lam, y, FD_THIRD_DERIV_STEP)
+
+    mu_value = None if metric.kind == "flat" else metric.factor().value
 
     def grad_u(y):
-        if analytic:
-            return np.asarray(u.grad(y), dtype=float)
-        return fd_gradient(u.value, y, _local_step(lam, y, hstep))
+        return fd_gradient(u, y, step(y))
 
     def lap_g_u(y):
         lam.check_domain(y)
-        if analytic:
-            lap = float(np.trace(u.hess(y)))
-        else:
-            lap = fd_laplacian(u.value, y, _local_step(lam, y, hstep))
+        lap = fd_laplacian(u, y, step(y))
         if mu_value is None:
             return lap
         gu = grad_u(y)
-        if analytic:
-            glmu = np.asarray(mu_log.grad(y), dtype=float)
-        else:
-            glmu = fd_gradient(mu_log.value, y, _local_step(lam, y, hstep))
+        glmu = fd_gradient(lambda z: math.log(mu_value(z)), y, step(y))
         return (lap + 2.0 * float(glmu @ gu)) / mu_value(y) ** 2
 
     def grad_sq_g(y):
@@ -147,44 +180,30 @@ def _chart_quantities(lam: ScalarField4, metric: ConformalMetricDescriptor):
         s = float(gu @ gu)
         return s if mu_value is None else s / mu_value(y) ** 2
 
-    grad_of_grad_sq = None
-    if analytic:
-        if mu_value is None:
-            def grad_of_grad_sq(y):
-                return 2.0 * np.asarray(u.hess(y)) @ np.asarray(u.grad(y))
-        else:
-            mu_f = metric.factor()
-
-            def grad_of_grad_sq(y):
-                gu = np.asarray(u.grad(y), dtype=float)
-                m = mu_f.value(y)
-                gm = np.asarray(mu_f.grad(y), dtype=float)
-                return 2.0 * (np.asarray(u.hess(y)) @ gu) / m**2 - 2.0 * float(gu @ gu) * gm / m**3
-
-    return mu_value, lap_g_u, grad_u, grad_sq_g, grad_of_grad_sq, hstep
+    return mu_value, lap_g_u, grad_u, grad_sq_g
 
 
 def biharmonic_residual(lam: ScalarField4, datum: EinsteinDatum, x,
                         metric: ConformalMetricDescriptor = FLAT,
                         h: float | None = None) -> np.ndarray:
-    """Vector residual of the 3rd-order biharmonicity equation at x."""
+    """Vector residual of the 3rd-order biharmonicity equation at x.
+
+    `h` sets the outer difference step of the value-only path."""
     x = as_point(x)
     lam.check_domain(x)
     n, a = datum.n, datum.a
     if metric.kind != "flat" and n != 4:
         raise UnsupportedDimensionError("curved-metric residuals are implemented for n = 4 only")
-    mu_value, lap_g_u, grad_u, grad_sq_g, grad_of_grad_sq, hstep = _chart_quantities(lam, metric)
-    if h is not None:
-        hstep = h
-    hstep = _local_step(lam, x, hstep)
+    exact = _closed_forms(lam, metric)
+    if exact is not None:
+        return _exact_residuals("biharmonic", *exact, x[None], n, a)[0]
+    mu_value, lap_g_u, grad_u, grad_sq_g = _chart_quantities(lam, metric)
+    hstep = _local_step(lam, x, FD_THIRD_DERIV_STEP if h is None else h)
     gu = grad_u(x)
     lap = lap_g_u(x)
     gsq = grad_sq_g(x)
     term1 = fd_gradient(lap_g_u, x, hstep)
-    if grad_of_grad_sq is not None:
-        term4 = grad_of_grad_sq(x)
-    else:
-        term4 = fd_gradient(grad_sq_g, x, hstep)
+    term4 = fd_gradient(grad_sq_g, x, hstep)
     vec = term1 - (2.0 * lap + (n - 2) * gsq) * gu + 2.0 * a * gu + 0.5 * (6 - n) * term4
     if mu_value is not None:
         vec = vec / mu_value(x) ** 2
@@ -194,49 +213,47 @@ def biharmonic_residual(lam: ScalarField4, datum: EinsteinDatum, x,
 def einstein_form_residual(lam: ScalarField4, datum: EinsteinDatum, x,
                            metric: ConformalMetricDescriptor = FLAT,
                            h: float | None = None) -> np.ndarray:
-    """Vector residual of the integrated (gradient-form) equation at x."""
+    """Vector residual of the integrated (gradient-form) equation at x.
+
+    `h` sets the difference step of the value-only path."""
     x = as_point(x)
     lam.check_domain(x)
     n, a = datum.n, datum.a
     if metric.kind != "flat" and n != 4:
         raise UnsupportedDimensionError("curved-metric residuals are implemented for n = 4 only")
-    analytic = lam.has_analytic
-    hstep = h if h is not None else (ANALYTIC_THIRD_DERIV_STEP if analytic else FD_THIRD_DERIV_STEP)
-    mu_value = None if metric.kind == "flat" else metric.factor().value
+    exact = _closed_forms(lam, metric)
+    if exact is not None:
+        return _exact_residuals("einstein_form", *exact, x[None], n, a)[0]
+    hstep = FD_THIRD_DERIV_STEP if h is None else h
     mu_field = None if metric.kind == "flat" else metric.factor()
 
+    def step(y):
+        return _local_step(lam, y, hstep)
+
     def grad_lam(y):
-        if analytic:
-            return np.asarray(lam.grad(y), dtype=float)
-        return fd_gradient(lam.value, y, _local_step(lam, y, hstep))
+        return fd_gradient(lam.value, y, step(y))
 
     def lap_g_lam(y):
         lam.check_domain(y)
-        if analytic:
-            lap = float(np.trace(lam.hess(y)))
-        else:
-            lap = fd_laplacian(lam.value, y, _local_step(lam, y, hstep))
-        if mu_value is None:
+        lap = fd_laplacian(lam.value, y, step(y))
+        if mu_field is None:
             return lap
         gl = grad_lam(y)
-        m = mu_value(y)
-        if analytic:
-            gmu = np.asarray(mu_field.grad(y), dtype=float)
-        else:
-            gmu = fd_gradient(mu_field.value, y, _local_step(lam, y, hstep))
+        m = mu_field.value(y)
+        gmu = fd_gradient(mu_field.value, y, step(y))
         return (lap + 2.0 * float(gmu @ gl) / m) / m**2
 
     def scalar(y):
         v = lam.value(y)
         gl = grad_lam(y)
         gsq = float(gl @ gl)
-        if mu_value is not None:
-            gsq /= mu_value(y) ** 2
+        if mu_field is not None:
+            gsq /= mu_field.value(y) ** 2
         return v * lap_g_lam(y) + a * v**2 - 0.5 * (n - 4) * gsq
 
-    vec = fd_gradient(scalar, x, _local_step(lam, x, hstep)) - 4.0 * lap_g_lam(x) * grad_lam(x)
-    if mu_value is not None:
-        vec = vec / mu_value(x) ** 2
+    vec = fd_gradient(scalar, x, step(x)) - 4.0 * lap_g_lam(x) * grad_lam(x)
+    if mu_field is not None:
+        vec = vec / mu_field.value(x) ** 2
     return vec
 
 
@@ -359,8 +376,14 @@ def standard_grid(n_points: int = 200, radius: float = 5.0,
     """Quasi-random points in the ball |x| <= radius, away from singular loci.
 
     The default is the unscrambled Halton sequence, so grids are fully
-    reproducible; passing a seed switches to seeded scrambling.
+    reproducible; passing a seed switches to seeded scrambling.  A radius
+    that is not finite and positive, fewer than one point, or exclusions
+    that leave too little of the ball raise ValueError.
     """
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"grid radius must be finite and positive, got {radius}")
+    if n_points < 1:
+        raise ValueError(f"a grid needs at least one point, got {n_points}")
     sampler = qmc.Halton(d=4, scramble=seed is not None, seed=seed)
     out = []
     guard = 0
@@ -377,13 +400,23 @@ def standard_grid(n_points: int = 200, radius: float = 5.0,
                 break
         guard += 1
         if guard > 64:
-            raise RuntimeError("grid rejection loop failed to fill; exclusions too aggressive")
+            raise ValueError("grid rejection loop failed to fill; exclusions too aggressive")
     return np.asarray(out)
 
 
 def grid_for_field(lam: ScalarField4, n_points: int = 200, radius: float = 5.0,
                    seed: int | None = None) -> np.ndarray:
     return standard_grid(n_points, radius, lam.singular_set, seed=seed)
+
+
+def domain_mask(lam: ScalarField4, grid) -> np.ndarray:
+    """Per grid point, whether the closed-form lam is defined there: outside
+    the singular margin and where every q_i > 0."""
+    X = np.asarray(grid, dtype=float)
+    ok = lam.closed_form.in_domain(X)
+    for s in lam.singular_set:
+        ok &= s.distance(X) >= SINGULAR_EXCLUSION
+    return ok
 
 
 def residual_report(equation: str, lam: ScalarField4, grid: np.ndarray, *,
@@ -395,10 +428,9 @@ def residual_report(equation: str, lam: ScalarField4, grid: np.ndarray, *,
     """Sweep a residual over a grid, collecting magnitudes into a report.
 
     Points raising DomainError are counted as failed and excluded from the
-    norms.
+    norms; on the exact path these are the points within the singular
+    margin of the set and those where some q_i <= 0.
     """
-    mags = []
-    n_failed = 0
     params: dict = {"metric": metric.kind}
     if equation == "yamabe":
         if a is None or A is None:
@@ -412,18 +444,29 @@ def residual_report(equation: str, lam: ScalarField4, grid: np.ndarray, *,
         raise ValueError(f"no grid sweep for equation {equation!r}")
     if h is not None:
         params["h"] = h
-    for p in np.asarray(grid, dtype=float):
-        try:
-            if equation == "yamabe":
-                r = abs(yamabe_residual(lam, a, A, p, metric=metric, h=h or DEFAULT_FD_STEP))
-            elif equation == "biharmonic":
-                r = float(np.linalg.norm(biharmonic_residual(lam, datum, p, metric=metric, h=h)))
-            else:
-                r = float(np.linalg.norm(einstein_form_residual(lam, datum, p, metric=metric, h=h)))
-            mags.append(r)
-        except DomainError:
-            n_failed += 1
-    mags = np.asarray(mags)
+    X = np.asarray(grid, dtype=float)
+    exact = None if equation == "yamabe" else _closed_forms(lam, metric)
+    if exact is not None:
+        if metric.kind != "flat" and datum.n != 4:
+            raise UnsupportedDimensionError("curved-metric residuals are implemented for n = 4 only")
+        ok = domain_mask(lam, X)
+        n_failed = int(np.count_nonzero(~ok))
+        mags = np.linalg.norm(_exact_residuals(equation, *exact, X[ok], datum.n, datum.a), axis=1)
+    else:
+        mags = []
+        n_failed = 0
+        for p in X:
+            try:
+                if equation == "yamabe":
+                    r = abs(yamabe_residual(lam, a, A, p, metric=metric, h=h or DEFAULT_FD_STEP))
+                elif equation == "biharmonic":
+                    r = float(np.linalg.norm(biharmonic_residual(lam, datum, p, metric=metric, h=h)))
+                else:
+                    r = float(np.linalg.norm(einstein_form_residual(lam, datum, p, metric=metric, h=h)))
+                mags.append(r)
+            except DomainError:
+                n_failed += 1
+        mags = np.asarray(mags)
     if mags.size == 0:
         raise DomainError("every grid point fell in a singular neighbourhood")
     meta = dict(grid_meta or {})

@@ -575,14 +575,6 @@ def recompute_residual(profile: RadialProfile) -> float:
     raise ValueError(f"unknown equation tag {profile.equation!r}")
 
 
-def resample_residual_s4(point: BranchPoint, factor: int = 2) -> float:
-    """Residual of the interpolated profile on a grid refined by `factor`."""
-    th = point.profile.grid
-    fine = s4_theta_grid(factor * (th.size - 1))
-    u_fine = np.interp(fine, th, point.profile.values)
-    return float(np.max(np.abs(s4_axisym_residual(u_fine, point.k))))
-
-
 def profile_to_csv(profile: RadialProfile, path) -> None:
     lines = ["coordinate,value"]
     lines += [f"{repr(float(c))},{repr(float(v))}" for c, v in zip(profile.grid, profile.values)]

@@ -91,6 +91,44 @@ def test_config_file_with_flag_precedence(tmp_path):
     assert json.loads(out.read_text())["n_points"] == 80
 
 
+def test_missing_config_file_is_usage_error(tmp_path, capsys):
+    assert run(["verify", "--config", str(tmp_path / "nonexistent.cfg")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ["--family", "bubble", "--radius", "0"],
+    ["--family", "bubble", "--radius", "-1"],
+    ["--family", "bubble", "--radius", "nan"],
+    ["--family", "bubble", "--radius", "inf"],
+    ["--family", "bubble", "--points", "0"],
+    # the exclusion ball around the origin covers the whole grid ball
+    ["--family", "inverse_radius", "--radius", "0.01", "--points", "5"],
+])
+def test_degenerate_verify_grid_is_usage_error(args, capsys):
+    assert run(["verify"] + args) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_verify_counts_points_outside_the_poincare_ball_as_failed(tmp_path):
+    from biharm4.families import classical_example
+    from biharm4.residuals import standard_grid
+
+    out, csv = tmp_path / "r.json", tmp_path / "points.csv"
+    assert run(["verify", "--family", "poincare_ball", "--radius", "2", "--equation", "biharmonic",
+                "--out", str(out), "--csv", str(csv)]) == EXIT_OK
+    rep = json.loads(out.read_text())
+    grid = standard_grid(200, 2.0, classical_example("poincare_ball").field.singular_set)
+    outside = int(np.count_nonzero(np.linalg.norm(grid, axis=1) > 1.0))
+    assert outside > 0
+    assert rep["n_failed"] == outside
+    assert rep["n_points"] == 200 - outside
+    rows = [list(map(float, r.split(","))) for r in csv.read_text().strip().splitlines()[1:]]
+    assert len(rows) == rep["n_points"]
+    assert all(np.linalg.norm(r[:4]) < 1.0 for r in rows)
+
+
 def test_runconfig_round_trip():
     cfg = RunConfig("verify", {"family": "bubble", "delta": "1.5", "points": "100"})
     assert RunConfig.from_text(cfg.to_text()) == cfg

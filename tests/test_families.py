@@ -18,7 +18,7 @@ from biharm4.families import (
     solution_catalog,
     sphere_surface_area,
 )
-from biharm4.fields import DomainError, ScalarField4, fd_gradient, fd_laplacian, field_affine
+from biharm4.fields import DomainError, ScalarField4, fd_gradient, fd_laplacian
 
 BUBBLE_QUOTIENT_4D = 4.0 * math.pi * math.sqrt(6.0) / 3.0  # analytic value of the extremal quotient
 GAUSSIAN_QUOTIENT_4D = 4.0 * math.pi  # analytic value for exp(-|x|^2)
@@ -88,7 +88,7 @@ def test_bubble_quotients_agree_and_match_best_constant():
 
 def test_quotient_scale_invariance():
     b = Bubble(4, 1.0, (0.0,) * 4).as_field()
-    doubled = field_affine(b, 2.0, 0.0)
+    doubled = (2.0 * b.closed_form).field()
     assert sobolev_quotient(doubled, 4) == pytest.approx(sobolev_quotient(b, 4), rel=1e-10)
 
 

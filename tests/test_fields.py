@@ -4,24 +4,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biharm4.families import Bubble, classical_example
 from biharm4.fields import (
     ConformalMetricDescriptor,
     DomainError,
     EinsteinDatum,
+    LogQuadratic,
     ModeError,
     ScalarField4,
     SingularLocus,
     fd_consistency,
     fd_gradient,
-    fd_laplacian,
     gradient,
     laplace_beltrami,
     laplacian_flat,
-    coordinate_field,
     radial_power_field,
 )
+from biharm4.residuals import biharmonic_residual
 
 
 def radius_field():
@@ -154,7 +156,8 @@ def test_laplace_beltrami_spherical_linear_at_origin():
     # frozen expected value 0: the chart factor is critical at the origin,
     # so the first-order correction term vanishes there
     sph = ConformalMetricDescriptor.spherical()
-    assert laplace_beltrami(coordinate_field(0), sph, np.zeros(4)) == pytest.approx(0.0, abs=1e-14)
+    x1 = ScalarField4(lambda x: float(x[0]), lambda x: np.eye(4)[0], lambda x: np.zeros((4, 4)), name="x1")
+    assert laplace_beltrami(x1, sph, np.zeros(4)) == pytest.approx(0.0, abs=1e-14)
 
 
 def _divergence_form_oracle(fv, muv, x, h):
@@ -203,14 +206,58 @@ def test_singular_locus_sphere_distance():
     assert s.distance(np.array([2.0, 0, 0, 0])) == pytest.approx(1.0)
 
 
-def test_field_algebra_product_hessian():
-    # (x1^2) * (1/|x|) assembled by combinators vs finite differences
-    from biharm4.fields import field_product
+# ---------------------------------------------------------------------------
+# log-quadratic factors: exact jets against finite differences
+# ---------------------------------------------------------------------------
 
-    f = field_product(
-        field_product(coordinate_field(0), coordinate_field(0)),
-        classical_example("inverse_radius").field,
-    )
-    x = np.array([0.9, -0.5, 0.3, 0.4])
-    assert np.max(np.abs(np.asarray(f.grad(x)) - fd_gradient(f.value, x, 1e-5))) < 1e-8
-    assert float(np.trace(f.hess(x))) == pytest.approx(fd_laplacian(f.value, x, 1e-4), abs=1e-6)
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def log_quadratic_terms(draw):
+    """1-3 terms with positive-definite M and q >= 0.5 everywhere."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        B = np.array(draw(st.lists(_floats(-1.0, 1.0), min_size=16, max_size=16))).reshape(4, 4)
+        M = B @ B.T / 4.0 + draw(_floats(0.5, 1.5)) * np.eye(4)
+        w = np.array(draw(st.lists(_floats(-1.0, 1.0), min_size=4, max_size=4)))
+        # min of x^T M x + w.x is -w^T M^-1 w / 4
+        c = float(w @ np.linalg.solve(M, w)) / 4.0 + draw(_floats(0.5, 2.0))
+        terms.append((M, w, c, draw(_floats(-2.0, 2.0))))
+    return tuple(terms)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(terms=log_quadratic_terms(), C=_floats(0.5, 2.0),
+       x=st.lists(_floats(-1.0, 1.0), min_size=4, max_size=4), split=st.integers(0, 2))
+def test_log_quadratic_jets_match_finite_differences(terms, C, x, split):
+    lq = LogQuadratic(C, terms)
+    x = np.array(x)
+    h = 1e-5
+
+    # lam's gradient and Hessian, and the jets of ln lam, against central differences
+    g = lq.grad(x)
+    assert np.allclose(g, fd_gradient(lq.value, x, h), rtol=1e-6, atol=1e-8)
+    H_fd = np.column_stack([(lq.grad(x + h * e) - lq.grad(x - h * e)) / (2 * h) for e in np.eye(4)])
+    assert np.allclose(lq.hess(x), H_fd, rtol=1e-6, atol=1e-8)
+    lam, gu, Hu, gLu = (j[0] for j in lq.jets(x[None]))
+    assert lam == pytest.approx(lq.value(x), rel=1e-14)
+    assert np.allclose(gu, g / lam, rtol=1e-12, atol=1e-14)
+    lap_u = lambda y: float(np.trace(lq.jets(y[None])[2][0]))
+    assert np.allclose(gLu, fd_gradient(lap_u, x, h), rtol=1e-6, atol=1e-8)
+
+    # the exact 3rd-order residual against the value-only finite-difference path
+    exact_field, plain = lq.field(), ScalarField4(lq.value)
+    for datum, metric in ((EinsteinDatum(4, 0.0), ConformalMetricDescriptor.flat()),
+                          (EinsteinDatum(4, 3.0), ConformalMetricDescriptor.spherical())):
+        exact = biharmonic_residual(exact_field, datum, x, metric=metric)
+        fd = biharmonic_residual(plain, datum, x, metric=metric)
+        assert np.allclose(exact, fd, rtol=1e-4, atol=1e-4)
+
+    # a product's jets are its factors' jets added (lam multiplied)
+    left, right = LogQuadratic(C, terms[:split]), LogQuadratic(1.0, terms[split:])
+    jl, jr, jp = left.jets(x[None]), right.jets(x[None]), (left * right).jets(x[None])
+    assert jp[0] == pytest.approx(jl[0] * jr[0], rel=1e-13)
+    for a, b, p in zip(jl[1:], jr[1:], jp[1:]):
+        assert np.allclose(p, a + b, rtol=1e-12, atol=1e-12)
