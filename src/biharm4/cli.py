@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import families, mobius, residuals, solver
-from .fields import DomainError, EinsteinDatum
-from .mobius import PAIRINGS, TransformParseError
+from .fields import EinsteinDatum
+from .mobius import PAIRINGS
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -302,6 +302,8 @@ def cmd_solve(cfg: RunConfig) -> int:
         return EXIT_OK
     if what == "s4":
         k = cfg.getfloat("k", 3.0)
+        if not k > 0:
+            raise ValueError("--k must be positive")
         N = cfg.getint("N", 400)
         tol = cfg.getfloat("tol", 1e-9)
         th = solver.s4_theta_grid(N)
@@ -378,7 +380,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     report_path = cfg.get("report")
     if report_path:
         Path(report_path).write_text(_json_bytes(summary) + "\n")
-    return EXIT_OK
+    return EXIT_OK if run.status == "ok" else EXIT_SOLVER
 
 
 # ---------------------------------------------------------------------------
@@ -464,15 +466,12 @@ def main(argv=None) -> int:
             return cmd_solve(cfg)
         if args.cmd == "sweep":
             return cmd_sweep(cfg)
-    except (TransformParseError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (solver.BranchError, solver.ConvergenceError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         if getattr(exc, "residual", None) is not None:
             print(f"last residual: {_sci(exc.residual)}", file=sys.stderr)
         return EXIT_SOLVER
-    except (ValueError, DomainError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # DomainError, TransformParseError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_USAGE

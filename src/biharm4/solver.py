@@ -94,44 +94,59 @@ class TorusRun:
     newton_iterations: int
 
 
-def _damped_newton(residual: Callable, jac_solve: Callable, u0: np.ndarray,
-                   tol: float, max_iter: int, positive: bool = True):
-    """Newton iteration with halving line search; steps that leave the
-    positive cone are damped, never clipped."""
-    u = u0.copy()
+def _newton(residual: Callable, jac_solve: Callable, z0: np.ndarray, tol: float,
+            max_iter: int, n_positive: Optional[int] = None,
+            monitor: Optional[Callable] = None):
+    """Newton iteration with a halving line search on the max-norm residual.
+
+    Steps that would make one of the first `n_positive` unknowns (all of
+    them by default) non-positive are damped, never clipped.  `monitor`
+    sees every iterate whose residual is tested.  Returns the iterate, its
+    residual norm, the number of steps and the norm history.
+    """
+    z = np.array(z0, dtype=float)
+    F = residual(z)
     history = []
-    for it in range(max_iter):
-        F = residual(u)
+    for it in range(max_iter + 1):
         nrm = float(np.max(np.abs(F)))
         history.append(nrm)
+        if monitor is not None:
+            monitor(z)
         if nrm < tol:
-            return u, nrm, it, history
-        step = jac_solve(u, -F)
+            return z, nrm, it, history
+        if it == max_iter:
+            raise ConvergenceError(f"no convergence after {max_iter} iterations (residual {nrm:.3e})",
+                                   iterate=z, residual=nrm)
+        try:
+            step = jac_solve(z, -F)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"singular Jacobian: {exc}", iterate=z, residual=nrm) from exc
         t = 1.0
-        accepted = False
         for _ in range(MAX_HALVINGS):
-            un = u + t * step
-            if positive and np.any(un <= 0.0):
-                t *= 0.5
-                continue
-            if float(np.max(np.abs(residual(un)))) < nrm:
-                accepted = True
-                break
+            zn = z + t * step
+            if np.all(zn[:n_positive] > 0.0):
+                Fn = residual(zn)
+                if float(np.max(np.abs(Fn))) < nrm:
+                    break
             t *= 0.5
-        if not accepted:
-            un = u + t * step
-            if positive and np.any(un <= 0.0):
+        else:
+            if np.any((z + t * step)[:n_positive] <= 0.0):
                 raise PositivityError("step left the positive cone after damping",
-                                      iterate=u, residual=nrm)
+                                      iterate=z, residual=nrm)
             raise ConvergenceError(f"line search stalled at residual {nrm:.3e}",
-                                   iterate=u, residual=nrm)
-        u = un
-    F = residual(u)
-    nrm = float(np.max(np.abs(F)))
-    if nrm < tol:
-        return u, nrm, max_iter, history
-    raise ConvergenceError(f"no convergence after {max_iter} iterations (residual {nrm:.3e})",
-                           iterate=u, residual=nrm)
+                                   iterate=z, residual=nrm)
+        z, F = zn, Fn
+
+
+def _bordered_solve(ab: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray,
+                    f: np.ndarray, g: np.ndarray):
+    """Solve [J B; C D] [x; y] = [f; g] for tridiagonal J, given in banded
+    (1, 1) form `ab`, by block elimination (Keller's bordering algorithm):
+    one banded solve with len(y) + 1 right-hand sides, then the small
+    Schur system (D - C J^-1 B) y = g - C J^-1 f."""
+    X = solve_banded((1, 1), ab, np.column_stack([B, f]))
+    y = np.linalg.solve(D - C @ X[:, :-1], g - C @ X[:, -1])
+    return X[:, -1] - X[:, :-1] @ y, y
 
 
 # ---------------------------------------------------------------------------
@@ -185,15 +200,15 @@ def solve_radial_r4(v_center: float, r_max: float = 10.0, N: int = 1000,
     error ~ 0.47 * (v_center/2)^3 * (r_max/N)^2 (4.67e-5 at v_center = 2,
     r_max = 10, N = 1000; below 1e-6 from N ~ 8000).
     """
-    if v_center <= 0:
-        raise ValueError("v_center must be positive")
+    if not (0.0 < v_center < math.inf and 0.0 < r_max < math.inf):
+        raise ValueError("v_center and r_max must be positive and finite")
     if N < 100:
         raise ValueError("N must be at least 100")
     r = np.linspace(0.0, r_max, N + 1)
     dr = r[1] - r[0]
     residual, jac_solve = _radial_system(v_center, r, dr)
     v0 = init if init is not None else v_center / (1.0 + r**2 / 3.0)
-    v, nrm, _, _ = _damped_newton(residual, jac_solve, np.asarray(v0, dtype=float), tol, max_iter)
+    v, nrm, _, _ = _newton(residual, jac_solve, v0, tol, max_iter)
     return RadialProfile(r, v, "r4_bubble",
                          {"v_center": v_center, "r_max": r_max, "N": N, "tol": tol},
                          nrm)
@@ -317,50 +332,44 @@ def solve_s4(k: float, init: np.ndarray, tol: float = 1e-9,
     From the constant initialization this returns the constant branch
     u = sqrt(k) (that iterate is an exact discrete solution).
     """
-    if k <= 0:
-        raise ValueError("the potential k must be positive")
+    if not 0.0 < k < math.inf:
+        raise ValueError("the potential k must be positive and finite")
     u0 = np.asarray(init, dtype=float)
+    if u0.size < 3:
+        raise ValueError("the S^4 grid needs N >= 2 intervals")
     if np.any(u0 <= 0):
         raise ValueError("initial profile must be positive")
 
     def jac_solve(u, rhs):
         return solve_banded((1, 1), _s4_jacobian_banded(u, k), rhs)
 
-    u, nrm, _, _ = _damped_newton(lambda u: s4_axisym_residual(u, k), jac_solve,
-                                  u0, tol, max_iter)
+    u, nrm, _, _ = _newton(lambda u: s4_axisym_residual(u, k), jac_solve, u0, tol, max_iter)
     return _make_branch_point(k, u, nrm, tol, 0.0)
 
 
 def _bordered_corrector(u_pred: np.ndarray, k_pred: float,
                         tangent_u: np.ndarray, tangent_k: float,
                         tol: float, max_iter: int = 25):
-    """Newton on the system [axisym residual; arclength plane] in (u, k)."""
+    """Newton on the system [axisym residual; arclength plane] in z = (u, k).
+
+    The Jacobian is the banded S^4 Jacobian bordered by the dF/dk = u
+    column and the arclength row, so each step is one bordered solve."""
     n = u_pred.size
     wu = 1.0 / n  # mesh-independent inner product weight on the u block
-    u = u_pred.copy()
-    k = k_pred
-    for it in range(max_iter):
-        F = s4_axisym_residual(u, k)
-        c = wu * float(tangent_u @ (u - u_pred)) + tangent_k * (k - k_pred)
-        nrm = max(float(np.max(np.abs(F))), abs(c))
-        if nrm < tol:
-            if np.any(u <= 0):
-                raise PositivityError("corrector left the positive cone", iterate=u)
-            return u, k, float(np.max(np.abs(F))), it
-        J = _s4_dense_jacobian(u, k)
-        big = np.zeros((n + 1, n + 1))
-        big[:n, :n] = J
-        big[:n, n] = u          # dF/dk
-        big[n, :n] = wu * tangent_u
-        big[n, n] = tangent_k
-        try:
-            step = np.linalg.solve(big, -np.concatenate([F, [c]]))
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"singular bordered Jacobian: {exc}") from exc
-        u = u + step[:n]
-        k = k + step[n]
-    raise ConvergenceError(f"corrector: no convergence after {max_iter} iterations",
-                           iterate=u, residual=nrm)
+
+    def residual(z):
+        c = wu * float(tangent_u @ (z[:n] - u_pred)) + tangent_k * (z[n] - k_pred)
+        return np.append(s4_axisym_residual(z[:n], z[n]), c)
+
+    def jac_solve(z, rhs):
+        du, dk = _bordered_solve(_s4_jacobian_banded(z[:n], z[n]), z[:n, None], wu * tangent_u[None, :],
+                                 np.array([[tangent_k]]), rhs[:n], rhs[n:])
+        return np.append(du, dk)
+
+    z, _, it, _ = _newton(residual, jac_solve, np.append(u_pred, k_pred), tol, max_iter,
+                          n_positive=n)
+    u, k = z[:n], float(z[n])
+    return u, k, float(np.max(np.abs(s4_axisym_residual(u, k)))), it
 
 
 def continue_branch(ell: int, k_from: float, k_to: float, steps: int,
@@ -374,8 +383,8 @@ def continue_branch(ell: int, k_from: float, k_to: float, steps: int,
     and the run stops with a status when k leaves the window or the
     corrector stalls.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    if steps < 1 or not 0.0 < k_from < math.inf:
+        raise ValueError("steps must be >= 1 and k_from positive and finite")
     th = s4_theta_grid(N)
     mode = axisym_mode(ell, th)
     direction = 1.0 if k_to >= k_from else -1.0
@@ -478,6 +487,25 @@ def torus_equation_residual(lam: np.ndarray, A: float) -> np.ndarray:
     return second - A * lam**3
 
 
+def _torus_newton_step(A: float, z: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Newton step of the mean-constrained torus system in z = (lam, nu).
+
+    The cyclic block is singular at A = 0 (constants), so the bordered solve
+    eliminates the non-cyclic tridiagonal block, with the nu column and the
+    two cyclic corners (auxiliary unknowns lam[N-1], lam[0]) as borders."""
+    N = z.size - 1
+    c = 1.0 / (2.0 * math.pi / N) ** 2
+    ab = np.full((3, N), c)
+    ab[1] = -2.0 * c - 3.0 * A * z[:N] ** 2
+    B = np.zeros((N, 3))
+    B[:, 0], B[0, 1], B[N - 1, 2] = 1.0, c, c
+    C = np.zeros((3, N))
+    C[0], C[1, N - 1], C[2, 0] = 1.0 / N, -1.0, -1.0
+    dlam, y = _bordered_solve(ab, B, C, np.diag([0.0, 1.0, 1.0]), rhs[:N],
+                              np.array([rhs[N], 0.0, 0.0]))
+    return np.append(dlam, y[0])
+
+
 def solve_torus(A: float, init: np.ndarray, a: float = 0.0,
                 tol: float = 1e-10, max_iter: int = 60,
                 obstruction_tol: float = 1e-8) -> TorusRun:
@@ -493,59 +521,30 @@ def solve_torus(A: float, init: np.ndarray, a: float = 0.0,
     if a != 0.0:
         raise ValueError("the periodic reduction is stated for the Ricci-flat case a = 0")
     lam = np.asarray(init, dtype=float)
+    N = lam.size
+    if N < 3:
+        raise ValueError("the periodic grid needs at least 3 points")
     if np.any(lam <= 0):
         raise ValueError("initial profile must be positive")
-    N = lam.size
     dth = 2.0 * math.pi / N
     m0 = float(np.mean(lam))
-    nu = 0.0
-    obstruction_history = []
-    lap_sup = 0.0
-    status = "diverged"
-    iters_used = max_iter
+    laplacian_integrals, obstruction_history = [], []
 
-    def record(lam):
-        nonlocal lap_sup
-        second = (np.roll(lam, -1) - 2.0 * lam + np.roll(lam, 1)) / dth**2
-        lap_sup = max(lap_sup, abs(float(np.sum(second)) * dth))
-        obstruction_history.append(A * float(np.sum(lam**3)) * dth)
+    def record(z):  # the A = 0 equation residual is lam''
+        laplacian_integrals.append(abs(float(np.sum(torus_equation_residual(z[:N], 0.0)))) * dth)
+        obstruction_history.append(A * float(np.sum(z[:N] ** 3)) * dth)
 
-    for it in range(max_iter):
-        record(lam)
-        second = (np.roll(lam, -1) - 2.0 * lam + np.roll(lam, 1)) / dth**2
-        F = np.concatenate([second - A * lam**3 + nu, [np.mean(lam) - m0]])
-        nrm = float(np.max(np.abs(F)))
-        if nrm < tol:
-            status = "converged"
-            iters_used = it
-            break
-        J = np.zeros((N + 1, N + 1))
-        idx = np.arange(N)
-        J[idx, idx] = -2.0 / dth**2 - 3.0 * A * lam**2
-        J[idx, (idx + 1) % N] += 1.0 / dth**2
-        J[idx, (idx - 1) % N] += 1.0 / dth**2
-        J[:N, N] = 1.0
-        J[N, :N] = 1.0 / N
-        step = np.linalg.solve(J, -F)
-        t = 1.0
-        accepted = False
-        for _ in range(MAX_HALVINGS):
-            ln = lam + t * step[:N]
-            if np.any(ln <= 0):
-                t *= 0.5
-                continue
-            Fn = np.concatenate([
-                (np.roll(ln, -1) - 2.0 * ln + np.roll(ln, 1)) / dth**2 - A * ln**3 + (nu + t * step[N]),
-                [np.mean(ln) - m0],
-            ])
-            if float(np.max(np.abs(Fn))) < nrm:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            break
-        lam = lam + t * step[:N]
-        nu = nu + t * step[N]
+    def residual(z):
+        return np.append(torus_equation_residual(z[:N], A) + z[N], np.mean(z[:N]) - m0)
+
+    try:
+        z, _, iters_used, _ = _newton(residual, lambda z, rhs: _torus_newton_step(A, z, rhs),
+                                      np.append(lam, 0.0), tol, max_iter, n_positive=N,
+                                      monitor=record)
+        status = "converged"
+    except ConvergenceError as exc:
+        z, status, iters_used = exc.iterate, "diverged", max_iter
+    lam = z[:N]
 
     true_res = torus_equation_residual(lam, A)
     profile = RadialProfile(torus_grid(N), lam, "torus_1d",
@@ -554,7 +553,7 @@ def solve_torus(A: float, init: np.ndarray, a: float = 0.0,
     obstruction = A * float(np.sum(lam**3)) * dth
     if status == "converged":
         status = "solved" if abs(obstruction) < obstruction_tol else "obstructed"
-    return TorusRun(profile, status, obstruction, obstruction_history, lap_sup,
+    return TorusRun(profile, status, obstruction, obstruction_history, max(laplacian_integrals),
                     iters_used)
 
 

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, determinism, config round trips."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -220,6 +221,38 @@ def test_solve_torus_obstruction_exit(tmp_path):
     assert abs(rep["obstruction"]) > 0.1
     assert run(["solve", "torus", "--A", "0", "--out", str(out)]) == EXIT_OK
     assert json.loads(out.read_text())["status"] == "solved"
+
+
+def test_solve_radial_singular_jacobian_is_solver_failure(capsys):
+    assert run(["solve", "radial", "--v0", "1e6"]) == EXIT_SOLVER
+    assert capsys.readouterr().err.startswith("solver failure:")
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "radial", "--rmax", "-1"],
+    ["solve", "radial", "--rmax", "nan"],
+    ["solve", "torus", "-N", "2"],
+    ["solve", "s4", "-N", "1"],
+    ["solve", "s4", "--k", "-1"],
+    ["sweep", "s4-branch", "--k-from", "-1"],
+])
+def test_solver_input_checks_are_usage_errors(args, tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(args + ["--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert not caught
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_sweep_leaving_the_window_is_solver_failure(tmp_path):
+    rep = tmp_path / "branch.json"
+    assert run(["sweep", "s4-branch", "--ell", "2", "--k-from", "5.05", "--k-to", "13",
+                "--steps", "30", "-N", "100", "--out", str(tmp_path / "b.jsonl"),
+                "--report", str(rep)]) == EXIT_SOLVER
+    summary = json.loads(rep.read_text())
+    assert summary["status"] == "window"
+    assert summary["n_points"] == 26
 
 
 def test_sweep_below_first_bifurcation_is_solver_failure(tmp_path):

@@ -26,7 +26,10 @@ from biharm4.solver import (
     solve_s4,
     solve_torus,
     torus_grid,
+    _bordered_solve,
     _s4_dense_jacobian,
+    _s4_jacobian_banded,
+    _torus_newton_step,
 )
 
 
@@ -83,8 +86,15 @@ def test_radial_validation_and_determinism():
 
 
 def test_profile_invariants():
-    p = solve_radial_r4(2.0, 10.0, 500)
-    assert abs(recompute_residual(p) - p.residual_sup) < 1e-12
+    th = torus_grid(256)
+    # every solver output: radial, fixed-k S^4, continuation points, torus
+    profiles = [solve_radial_r4(2.0, 10.0, 500),
+                solve_s4(3.0, np.full(201, math.sqrt(3.0))).profile,
+                solve_s4(5.1, math.sqrt(5.1) - 0.1 * axisym_mode(2, s4_theta_grid(200))).profile]
+    profiles += [p.profile for p in continue_branch(2, 5.05, 5.5, 6, N=200).points]
+    profiles += [solve_torus(A, 1.0 + 0.3 * np.sin(th)).profile for A in (0.0, -1.0)]
+    for p in profiles:
+        assert abs(recompute_residual(p) - p.residual_sup) < 1e-12, p.equation
     with pytest.raises(ValueError):
         RadialProfile(np.array([0.0, 1.0]), np.array([1.0, -1.0]), "r4_bubble", {}, 0.0)
 
@@ -178,6 +188,45 @@ def test_solve_s4_validation():
 # ---------------------------------------------------------------------------
 # branch continuation
 # ---------------------------------------------------------------------------
+
+def _relative_error(x, ref):
+    return float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
+
+
+def test_bordered_solve_matches_dense_s4_border():
+    # the corrector's system: banded S^4 Jacobian bordered by dF/dk = u and
+    # the arclength row, at the first (k = 5.05) and last (k ~ 6.0) points
+    run = continue_branch(2, 5.05, 6.0, 20, N=400, tol=1e-9)
+    rng = np.random.default_rng(7)
+    pts = run.points
+    for p, q in ((pts[0], pts[1]), (pts[-1], pts[-2])):
+        u, k = p.profile.values, p.k
+        n = u.size
+        row = (u - q.profile.values)[None, :] / n
+        D = np.array([[k - q.k]])
+        f, g = rng.standard_normal(n), rng.standard_normal(1)
+        x, y = _bordered_solve(_s4_jacobian_banded(u, k), u[:, None], row, D, f, g)
+        dense = np.block([[_s4_dense_jacobian(u, k), u[:, None]], [row, D]])
+        ref = np.linalg.solve(dense, np.append(f, g))
+        assert _relative_error(np.append(x, y), ref) < 1e-9, k
+
+
+@pytest.mark.parametrize("A", [0.0, -1.0, 0.5])
+def test_torus_newton_step_matches_dense(A):
+    N = 256
+    lam = 1.0 + 0.3 * np.sin(torus_grid(N))
+    c = 1.0 / (2.0 * math.pi / N) ** 2
+    idx = np.arange(N)
+    J = np.zeros((N + 1, N + 1))
+    J[idx, idx] = -2.0 * c - 3.0 * A * lam**2
+    J[idx, (idx + 1) % N] += c
+    J[idx, (idx - 1) % N] += c
+    J[:N, N] = 1.0
+    J[N, :N] = 1.0 / N
+    rhs = np.random.default_rng(11).standard_normal(N + 1)
+    step = _torus_newton_step(A, np.append(lam, 0.3), rhs)
+    assert _relative_error(step, np.linalg.solve(J, rhs)) < 1e-9
+
 
 def test_branch_growth_from_second_bifurcation():
     run = continue_branch(2, 5.05, 5.5, 8, N=400, tol=1e-9)
