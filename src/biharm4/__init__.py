@@ -10,7 +10,6 @@ from .fields import (
     ConformalMetricDescriptor,
     DomainError,
     EinsteinDatum,
-    ModeError,
     ScalarField4,
     SingularLocus,
     fd_consistency,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import families, mobius, residuals, solver
-from .fields import EinsteinDatum
+from .fields import EinsteinDatum, domain_mask
 from .mobius import PAIRINGS
 
 EXIT_OK = 0
@@ -73,6 +74,8 @@ class RunConfig:
 
     def getfloat(self, key, default=None):
         v = self.options.get(key)
+        if v is not None and not math.isfinite(float(v)):
+            raise ValueError(f"{key} must be a finite number, got {v}")
         return default if v is None else float(v)
 
     def getint(self, key, default=None):
@@ -183,7 +186,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     csv_path = cfg.get("csv")
     if csv_path:
         lines = ["x1,x2,x3,x4,residual"]
-        kept = grid[residuals.domain_mask(entry.field, grid)]
+        kept = grid[domain_mask(entry.field, grid)]
         for p, v in zip(kept, report.values):
             lines.append(",".join(repr(float(c)) for c in p) + f",{repr(float(v))}")
         Path(csv_path).write_text("\n".join(lines) + "\n")
@@ -220,6 +223,8 @@ def cmd_mobius_audit(cfg: RunConfig) -> int:
     rows = []
     cells = []
     n_random = cfg.getint("random", 0)
+    if n_random < 0:
+        raise ValueError(f"--random must be non-negative, got {n_random}")
     seed = cfg.getint("seed", 2024)
     if n_random:
         for pairing in pairings:
@@ -458,20 +463,22 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         cfg = _merge_config(args, _OPTION_KEYS[args.cmd])
-        if args.cmd == "verify":
-            return cmd_verify(cfg)
-        if args.cmd == "mobius-audit":
-            return cmd_mobius_audit(cfg)
-        if args.cmd == "solve":
-            return cmd_solve(cfg)
-        if args.cmd == "sweep":
-            return cmd_sweep(cfg)
+        # out-of-range input raises ArithmeticError, not a numpy warning
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            if args.cmd == "verify":
+                return cmd_verify(cfg)
+            if args.cmd == "mobius-audit":
+                return cmd_mobius_audit(cfg)
+            if args.cmd == "solve":
+                return cmd_solve(cfg)
+            if args.cmd == "sweep":
+                return cmd_sweep(cfg)
     except (solver.BranchError, solver.ConvergenceError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         if getattr(exc, "residual", None) is not None:
             print(f"last residual: {_sci(exc.residual)}", file=sys.stderr)
         return EXIT_SOLVER
-    except (ValueError, OSError) as exc:  # DomainError, TransformParseError are ValueErrors
+    except (ValueError, OSError, ArithmeticError) as exc:  # DomainError, TransformParseError: ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_USAGE

@@ -21,8 +21,8 @@ from .fields import (
     LogQuadratic,
     ScalarField4,
     SingularLocus,
+    _grad,
     as_point,
-    fd_gradient,
     quadratic_term,
     radial_power_field,
 )
@@ -188,10 +188,7 @@ def sobolev_quotient(v: ScalarField4, n: int, center=None, r_max: float = 80.0,
     c = np.zeros(n) if center is None else as_point(center, n)
 
     def grad_sq(x):
-        if v.grad is not None:
-            g = np.asarray(v.grad(x), dtype=float)
-        else:
-            g = fd_gradient(v.value, x)
+        g = _grad(v, x)
         return float(g @ g)
 
     if method == "radial":

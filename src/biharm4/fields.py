@@ -12,11 +12,13 @@ for dimension 4 (the only dimension where curved evaluation is needed).
 Every closed-form conformal factor of the package is a LogQuadratic,
 C * prod_i q_i(x)^p_i with each q_i quadratic; a field built from one
 carries it as `closed_form`, which gives exact jets of ln lam on a batch of
-points.
+points.  Any other field gets the same jets from one 41-point stencil of
+central differences (`fd_jets`); `jets` picks whichever applies.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -25,15 +27,12 @@ from typing import Callable, Optional
 import numpy as np
 
 DEFAULT_FD_STEP = 1e-4
+FD_JET_STEP = 1e-3
 SINGULAR_EXCLUSION = 1e-9
 
 
 class DomainError(ValueError):
     """Evaluation requested at (or too close to) a singular point."""
-
-
-class ModeError(ValueError):
-    """Analytic evaluation requested from a field without analytic data."""
 
 
 def as_point(x, dim: int | None = None) -> np.ndarray:
@@ -80,10 +79,6 @@ class ScalarField4:
         x = as_point(x)
         self.check_domain(x)
         return float(self.value(x))
-
-    @property
-    def has_analytic(self) -> bool:
-        return self.grad is not None and self.hess is not None
 
     def distance_to_singular(self, x: np.ndarray) -> float:
         if not self.singular_set:
@@ -242,31 +237,117 @@ def fd_laplacian(f: Callable[[np.ndarray], float], x: np.ndarray, h: float = DEF
     return float(acc / h**2)
 
 
-def _require_analytic(f: ScalarField4, what: str) -> None:
-    if (what in ("grad", "both") and f.grad is None) or (what in ("hess", "both") and f.hess is None):
-        raise ModeError(f"field {f.name or '<anonymous>'} has no analytic {what} evaluator")
+# the one analytic-or-difference choice of the 2nd-order operators; x must
+# already be a validated point in f's domain
+def _grad(f: ScalarField4, x: np.ndarray, h: float = DEFAULT_FD_STEP) -> np.ndarray:
+    return np.asarray(f.grad(x), dtype=float) if f.grad is not None else fd_gradient(f.value, x, h)
 
 
-def gradient(f: ScalarField4, x, mode: str = "analytic", h: float = DEFAULT_FD_STEP) -> np.ndarray:
+def _lap(f: ScalarField4, x: np.ndarray, h: float = DEFAULT_FD_STEP) -> float:
+    return float(np.trace(f.hess(x))) if f.hess is not None else fd_laplacian(f.value, x, h)
+
+
+def gradient(f: ScalarField4, x, h: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """Gradient of f at x: its `grad` evaluator, else central differences at step h."""
     x = as_point(x)
     f.check_domain(x)
-    if mode == "analytic":
-        _require_analytic(f, "grad")
-        return np.asarray(f.grad(x), dtype=float)
-    if mode == "fd":
-        return fd_gradient(f.value, x, h)
-    raise ModeError(f"unknown gradient mode {mode!r}")
+    return _grad(f, x, h)
 
 
-def laplacian_flat(f: ScalarField4, x, mode: str = "analytic", h: float = DEFAULT_FD_STEP) -> float:
+def laplacian_flat(f: ScalarField4, x, h: float = DEFAULT_FD_STEP) -> float:
+    """Flat Laplacian of f at x: trace of its `hess` evaluator, else central differences."""
     x = as_point(x)
     f.check_domain(x)
-    if mode == "analytic":
-        _require_analytic(f, "hess")
-        return float(np.trace(f.hess(x)))
-    if mode == "fd":
-        return fd_laplacian(f.value, x, h)
-    raise ModeError(f"unknown Laplacian mode {mode!r}")
+    return _lap(f, x, h)
+
+
+@functools.lru_cache
+def _jet_stencil(n: int):
+    """The stencil of `fd_jets` in units of the step, and the weights that
+    turn ln f on it into h * grad, h^2 * Hess and h^3 * grad Delta of ln f.
+
+    The points are the centre, +-1 and +-2 steps on each axis, and the four
+    diagonal points +-e_i +-e_j of each pair i < j: 41 for n = 4.  d_i Delta
+    is the central difference along e_i of every axis second difference; its
+    d_iii term is the one that reaches the +-2 points.  Each weight set is
+    the standard O(h^2) central formula."""
+    E = np.eye(n)
+    points = [np.zeros(n)] + [c * E[i] for i in range(n) for c in (1, -1, 2, -2)]
+    points += [a * E[i] + b * E[j] for i in range(n) for j in range(i + 1, n) for a in (1, -1) for b in (1, -1)]
+    index = {tuple(p): k for k, p in enumerate(points)}
+
+    def weights(*terms):
+        w = np.zeros(len(points))
+        for c, p in terms:
+            w[index[tuple(p)]] += c
+        return w
+
+    def second(i, at):  # u(at + e_i) - 2 u(at) + u(at - e_i)
+        return weights((1.0, at + E[i]), (-2.0, at), (1.0, at - E[i]))
+
+    def mixed(i, j):
+        return weights((0.25, E[i] + E[j]), (-0.25, E[i] - E[j]), (-0.25, E[j] - E[i]), (0.25, -E[i] - E[j]))
+
+    grad = np.array([weights((0.5, E[i]), (-0.5, -E[i])) for i in range(n)])
+    hess = np.array([[second(i, points[0]) if i == j else mixed(i, j) for j in range(n)] for i in range(n)])
+    grad_lap = np.array([sum(second(j, E[i]) - second(j, -E[i]) for j in range(n)) / 2.0 for i in range(n)])
+    return np.array(points), grad, hess, grad_lap
+
+
+def fd_jets(f: ScalarField4, X, h: float = FD_JET_STEP):
+    """`jets` of f by central differences of ln f, each O(h^2).
+
+    Every row x of X gets one stencil of 41 values for n = 4 (see `_jet_stencil`).
+    Derivatives of the catalog factors blow up like powers of the distance
+    d to the singular set, so the step is h * min(1, max(d, 0.01))^1.5 to
+    keep truncation bounded; the floor keeps roundoff from taking over.  A
+    row fails when its stencil reaches the singular margin, f raises
+    DomainError on it or f is not positive on it."""
+    X = np.asarray(X, dtype=float)
+    stencil, w_grad, w_hess, w_grad_lap = _jet_stencil(X.shape[1])
+    ok = np.zeros(len(X), dtype=bool)
+    rows, steps = [], []
+    for k, x in enumerate(X):
+        d = f.distance_to_singular(x)
+        s = h * min(1.0, max(d, 0.01)) ** 1.5
+        if d < SINGULAR_EXCLUSION + 2.0 * s:
+            continue
+        try:
+            vals = np.array([f.value(y) for y in x + s * stencil], dtype=float)
+        except DomainError:
+            continue
+        if np.all(vals > 0.0):
+            ok[k] = True
+            rows.append(vals)
+            steps.append(s)
+    V = np.reshape(rows, (-1, len(stencil)))
+    U = np.log(V)
+    s = np.array(steps)[:, None]
+    H = np.einsum("km,ijm->kij", U, w_hess) / (s**2)[:, :, None]
+    return ok, (V[:, 0], U @ w_grad.T / s, H, U @ w_grad_lap.T / s**3)
+
+
+def domain_mask(f: ScalarField4, X) -> np.ndarray:
+    """Per row of X, whether the closed-form f is defined there: outside
+    the singular margin and where every q_i > 0."""
+    X = np.asarray(X, dtype=float)
+    ok = f.closed_form.in_domain(X)
+    for s in f.singular_set:
+        ok &= s.distance(X) >= SINGULAR_EXCLUSION
+    return ok
+
+
+def jets(f: ScalarField4, X, h: float = FD_JET_STEP):
+    """(ok, (lam, grad ln lam, Hess ln lam, grad Delta ln lam)) for lam = f.
+
+    `ok` marks the rows of X where f is defined, and the jets are given at
+    those rows only, with the shapes of `LogQuadratic.jets`: exact when f
+    carries a LogQuadratic (h is then unused), `fd_jets` at step h otherwise."""
+    if f.closed_form is None:
+        return fd_jets(f, X, h)
+    X = np.asarray(X, dtype=float)
+    ok = domain_mask(f, X)
+    return ok, f.closed_form.jets(X[ok])
 
 
 @dataclass(frozen=True)
@@ -298,13 +379,10 @@ class ConformalMetricDescriptor:
     """g = mu^2 dx^2; kind 'flat' means mu = 1, 'spherical' means mu = 2/(1+|x|^2)."""
 
     kind: str = "flat"
-    mu: Optional[ScalarField4] = None
 
     def __post_init__(self):
-        if self.kind not in ("flat", "spherical", "conformal"):
+        if self.kind not in ("flat", "spherical"):
             raise ValueError(f"unknown metric kind {self.kind!r}")
-        if self.kind == "conformal" and self.mu is None:
-            raise ValueError("conformal metric needs an explicit factor mu")
 
     @classmethod
     def flat(cls) -> "ConformalMetricDescriptor":
@@ -312,16 +390,12 @@ class ConformalMetricDescriptor:
 
     @classmethod
     def spherical(cls) -> "ConformalMetricDescriptor":
-        return cls("spherical", spherical_mu())
-
-    @classmethod
-    def conformal(cls, mu: ScalarField4) -> "ConformalMetricDescriptor":
-        return cls("conformal", mu)
+        return cls("spherical")
 
     def factor(self) -> ScalarField4:
         if self.kind == "flat":
             raise ValueError("flat metric has no conformal factor field")
-        return self.mu if self.kind == "conformal" else spherical_mu()
+        return spherical_mu()
 
 
 FLAT = ConformalMetricDescriptor.flat()
@@ -330,28 +404,18 @@ FLAT = ConformalMetricDescriptor.flat()
 def laplace_beltrami(f: ScalarField4, g: ConformalMetricDescriptor, x, h: float = DEFAULT_FD_STEP) -> float:
     """Laplace-Beltrami of f for g = mu^2 dx^2 in dimension 4.
 
-    Uses analytic derivatives when both f and mu carry them, central
-    differences otherwise.
+    Uses f's `grad`/`hess` evaluators where it has them and central
+    differences otherwise; mu's gradient is always exact.
     """
     x = as_point(x)
+    f.check_domain(x)
     if g.kind == "flat":
-        mode = "analytic" if f.hess is not None else "fd"
-        return laplacian_flat(f, x, mode=mode, h=h)
+        return _lap(f, x, h)
     if x.size != 4:
         raise ValueError("curved-metric Laplacian is implemented for dimension 4 only")
     mu = g.factor()
-    f.check_domain(x)
-    mu.check_domain(x)
-    if f.has_analytic and mu.has_analytic:
-        lap = float(np.trace(f.hess(x)))
-        gf = np.asarray(f.grad(x), dtype=float)
-        gmu = np.asarray(mu.grad(x), dtype=float)
-    else:
-        lap = fd_laplacian(f.value, x, h)
-        gf = fd_gradient(f.value, x, h)
-        gmu = fd_gradient(mu.value, x, h)
     m = float(mu.value(x))
-    return (lap + 2.0 * float(gmu @ gf) / m) / m**2
+    return (_lap(f, x, h) + 2.0 * float(mu.grad(x) @ _grad(f, x, h)) / m) / m**2
 
 
 @dataclass(frozen=True)
@@ -368,12 +432,13 @@ class FdDiscrepancy:
 
 
 def fd_consistency(f: ScalarField4, x, h: float = DEFAULT_FD_STEP) -> FdDiscrepancy:
-    """Max discrepancy between analytic and fd gradient / Laplacian at x."""
+    """Max discrepancy between f's analytic and fd gradient / Laplacian at x."""
     x = as_point(x)
     f.check_domain(x)
-    _require_analytic(f, "both")
-    ge = float(np.max(np.abs(gradient(f, x, "analytic") - gradient(f, x, "fd", h))))
-    le = abs(laplacian_flat(f, x, "analytic") - laplacian_flat(f, x, "fd", h))
+    if f.grad is None or f.hess is None:
+        raise ValueError(f"field {f.name or '<anonymous>'} has no analytic grad and hess to check")
+    ge = float(np.max(np.abs(np.asarray(f.grad(x), dtype=float) - fd_gradient(f.value, x, h))))
+    le = abs(float(np.trace(f.hess(x))) - fd_laplacian(f.value, x, h))
     return FdDiscrepancy(ge, le, h)
 
 

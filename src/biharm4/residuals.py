@@ -15,14 +15,13 @@ All operators act in the metric given by a ConformalMetricDescriptor; the
 returned vectors are coordinate components in the chart, including the
 mu^-2 index-raising factor of the curved gradient.
 
-The 3rd-order residuals have two paths.  A field that carries a
-LogQuadratic (and a metric whose factor carries one) takes the exact
-path: ln lam's gradient, Hessian and gradient of the Laplacian come in
-closed form, a whole grid in one batched call, and residuals of true
-solutions vanish to roundoff.  Every other field takes the value-only
-path: nested central differences at step 1e-3, shrunk near the singular
-set, good to about 1e-4.  The yamabe residual needs only a Laplacian and
-uses the field's Hessian when it has one.
+Both 3rd-order residuals are one formula in the jets of ln lam and ln mu
+(value, gradient, Hessian, gradient of the Laplacian) on a whole grid at
+once.  `fields.jets` gives them exactly for a field that carries a
+LogQuadratic, so residuals of true solutions vanish to roundoff, and from
+a 41-point central-difference stencil at step 1e-3 (good to about 1e-4)
+for any other field; mu is always exact.  The 2nd-order residuals use the
+field's `grad`/`hess` evaluators where it has them, differences otherwise.
 """
 
 from __future__ import annotations
@@ -36,18 +35,19 @@ from scipy.stats import qmc
 
 from .fields import (
     DEFAULT_FD_STEP,
+    FD_JET_STEP,
     FLAT,
-    SINGULAR_EXCLUSION,
     ConformalMetricDescriptor,
     DomainError,
     EinsteinDatum,
     ScalarField4,
+    _grad,
+    _lap,
     as_point,
-    fd_gradient,
-    fd_laplacian,
+    jets,
+    laplace_beltrami,
 )
 
-FD_THIRD_DERIV_STEP = 1e-3
 GRID_EXCLUSION = 0.05
 
 EQUATIONS = ("yamabe", "biharmonic", "einstein_form", "curvature_law", "isoparametric")
@@ -89,40 +89,18 @@ class ResidualReport:
             raise ValueError("per-point magnitudes must match the successful point count")
 
 
-def _local_step(lam: ScalarField4, x: np.ndarray, h: float) -> float:
-    """Scale the fd step by the distance to the singular set.
-
-    Derivatives of the catalog factors blow up like powers of that
-    distance, so truncation stays bounded only if h shrinks with it; the
-    floor keeps roundoff noise from taking over."""
-    d = lam.distance_to_singular(x)
-    if not math.isfinite(d):
-        return h
-    return h * min(1.0, max(d, 0.01)) ** 1.5
-
-
-def _closed_forms(lam: ScalarField4, metric: ConformalMetricDescriptor):
-    """(record of lam, record of mu or None for the flat metric) when both
-    carry one, so the exact path applies; None otherwise."""
-    if lam.closed_form is None:
-        return None
-    if metric.kind == "flat":
-        return lam.closed_form, None
-    mu = metric.factor().closed_form
-    return None if mu is None else (lam.closed_form, mu)
-
-
-def _exact_residuals(equation: str, lam_cf, mu_cf, X: np.ndarray, n: int, a: float) -> np.ndarray:
-    """Biharmonic or einstein_form residual vectors at the rows of X, exact.
+def _residual_vectors(equation: str, lam_jets, mu_jets, n: int, a: float) -> np.ndarray:
+    """Biharmonic or einstein_form residual vectors from the jets of ln lam
+    (and of ln mu, None for the flat metric) at a batch of points.
 
     With u = ln lam, m = ln mu and e = mu^-2: Delta_g u = e L with
     L = Delta u + 2 <grad m, grad u>, |grad_g u|^2 = e s with s = |grad u|^2,
     and grad e = -2 e grad m."""
-    lam, gu, Hu, gLu = lam_cf.jets(X)
-    if mu_cf is None:
-        e, gm, Hm = np.ones(len(X)), np.zeros_like(gu), np.zeros_like(Hu)
+    lam, gu, Hu, gLu = lam_jets
+    if mu_jets is None:
+        e, gm, Hm = np.ones(len(lam)), np.zeros_like(gu), np.zeros_like(Hu)
     else:
-        mu, gm, Hm, _ = mu_cf.jets(X)
+        mu, gm, Hm, _ = mu_jets
         e = mu**-2.0
 
     def dot(u, v):
@@ -148,39 +126,23 @@ def _exact_residuals(equation: str, lam_cf, mu_cf, X: np.ndarray, n: int, a: flo
     return vec * e
 
 
-def _chart_quantities(lam: ScalarField4, metric: ConformalMetricDescriptor):
-    """Value-only evaluators for u = ln lam in the chart of the given metric.
+def _third_order(equation: str, lam: ScalarField4, datum: EinsteinDatum, X: np.ndarray,
+                 metric: ConformalMetricDescriptor, h: float | None):
+    """(ok, residual vectors at the rows of X where lam is defined)."""
+    if metric.kind != "flat" and datum.n != 4:
+        raise UnsupportedDimensionError("curved-metric residuals are implemented for n = 4 only")
+    ok, lam_jets = jets(lam, X, FD_JET_STEP if h is None else h)
+    mu_jets = None if metric.kind == "flat" else metric.factor().closed_form.jets(X[ok])
+    return ok, _residual_vectors(equation, lam_jets, mu_jets, datum.n, datum.a)
 
-    Returns (mu_value, lap_g_u, grad_u, grad_sq_g) where
-    grad_sq_g(y) = |grad_g u|_g^2, all by central differences."""
 
-    def u(y):
-        return math.log(lam.value(y))
-
-    def step(y):
-        return _local_step(lam, y, FD_THIRD_DERIV_STEP)
-
-    mu_value = None if metric.kind == "flat" else metric.factor().value
-
-    def grad_u(y):
-        return fd_gradient(u, y, step(y))
-
-    def lap_g_u(y):
-        lam.check_domain(y)
-        lap = fd_laplacian(u, y, step(y))
-        if mu_value is None:
-            return lap
-        gu = grad_u(y)
-        glmu = fd_gradient(lambda z: math.log(mu_value(z)), y, step(y))
-        return (lap + 2.0 * float(glmu @ gu)) / mu_value(y) ** 2
-
-    def grad_sq_g(y):
-        lam.check_domain(y)
-        gu = grad_u(y)
-        s = float(gu @ gu)
-        return s if mu_value is None else s / mu_value(y) ** 2
-
-    return mu_value, lap_g_u, grad_u, grad_sq_g
+def _third_order_at(equation: str, lam: ScalarField4, datum: EinsteinDatum, x,
+                    metric: ConformalMetricDescriptor, h: float | None) -> np.ndarray:
+    x = as_point(x)
+    ok, vec = _third_order(equation, lam, datum, x[None], metric, h)
+    if not ok[0]:
+        raise DomainError(f"field {lam.name or '<anonymous>'} is not defined around {x}")
+    return vec[0]
 
 
 def biharmonic_residual(lam: ScalarField4, datum: EinsteinDatum, x,
@@ -188,26 +150,8 @@ def biharmonic_residual(lam: ScalarField4, datum: EinsteinDatum, x,
                         h: float | None = None) -> np.ndarray:
     """Vector residual of the 3rd-order biharmonicity equation at x.
 
-    `h` sets the outer difference step of the value-only path."""
-    x = as_point(x)
-    lam.check_domain(x)
-    n, a = datum.n, datum.a
-    if metric.kind != "flat" and n != 4:
-        raise UnsupportedDimensionError("curved-metric residuals are implemented for n = 4 only")
-    exact = _closed_forms(lam, metric)
-    if exact is not None:
-        return _exact_residuals("biharmonic", *exact, x[None], n, a)[0]
-    mu_value, lap_g_u, grad_u, grad_sq_g = _chart_quantities(lam, metric)
-    hstep = _local_step(lam, x, FD_THIRD_DERIV_STEP if h is None else h)
-    gu = grad_u(x)
-    lap = lap_g_u(x)
-    gsq = grad_sq_g(x)
-    term1 = fd_gradient(lap_g_u, x, hstep)
-    term4 = fd_gradient(grad_sq_g, x, hstep)
-    vec = term1 - (2.0 * lap + (n - 2) * gsq) * gu + 2.0 * a * gu + 0.5 * (6 - n) * term4
-    if mu_value is not None:
-        vec = vec / mu_value(x) ** 2
-    return vec
+    `h` is the stencil step of `fd_jets` for a field without a closed form."""
+    return _third_order_at("biharmonic", lam, datum, x, metric, h)
 
 
 def einstein_form_residual(lam: ScalarField4, datum: EinsteinDatum, x,
@@ -215,46 +159,8 @@ def einstein_form_residual(lam: ScalarField4, datum: EinsteinDatum, x,
                            h: float | None = None) -> np.ndarray:
     """Vector residual of the integrated (gradient-form) equation at x.
 
-    `h` sets the difference step of the value-only path."""
-    x = as_point(x)
-    lam.check_domain(x)
-    n, a = datum.n, datum.a
-    if metric.kind != "flat" and n != 4:
-        raise UnsupportedDimensionError("curved-metric residuals are implemented for n = 4 only")
-    exact = _closed_forms(lam, metric)
-    if exact is not None:
-        return _exact_residuals("einstein_form", *exact, x[None], n, a)[0]
-    hstep = FD_THIRD_DERIV_STEP if h is None else h
-    mu_field = None if metric.kind == "flat" else metric.factor()
-
-    def step(y):
-        return _local_step(lam, y, hstep)
-
-    def grad_lam(y):
-        return fd_gradient(lam.value, y, step(y))
-
-    def lap_g_lam(y):
-        lam.check_domain(y)
-        lap = fd_laplacian(lam.value, y, step(y))
-        if mu_field is None:
-            return lap
-        gl = grad_lam(y)
-        m = mu_field.value(y)
-        gmu = fd_gradient(mu_field.value, y, step(y))
-        return (lap + 2.0 * float(gmu @ gl) / m) / m**2
-
-    def scalar(y):
-        v = lam.value(y)
-        gl = grad_lam(y)
-        gsq = float(gl @ gl)
-        if mu_field is not None:
-            gsq /= mu_field.value(y) ** 2
-        return v * lap_g_lam(y) + a * v**2 - 0.5 * (n - 4) * gsq
-
-    vec = fd_gradient(scalar, x, step(x)) - 4.0 * lap_g_lam(x) * grad_lam(x)
-    if mu_field is not None:
-        vec = vec / mu_field.value(x) ** 2
-    return vec
+    `h` is the stencil step of `fd_jets` for a field without a closed form."""
+    return _third_order_at("einstein_form", lam, datum, x, metric, h)
 
 
 def yamabe_residual(lam: ScalarField4, a: float, A: float, x,
@@ -264,12 +170,7 @@ def yamabe_residual(lam: ScalarField4, a: float, A: float, x,
     x = as_point(x)
     lam.check_domain(x)
     v = float(lam.value(x))
-    if metric.kind == "flat":
-        lap = float(np.trace(lam.hess(x))) if lam.hess is not None else fd_laplacian(lam.value, x, h)
-    else:
-        from .fields import laplace_beltrami
-
-        lap = laplace_beltrami(lam, metric, x, h)
+    lap = _lap(lam, x, h) if metric.kind == "flat" else laplace_beltrami(lam, metric, x, h)
     return lap - a * v - A * v**3
 
 
@@ -315,16 +216,11 @@ def curvature_law_residual(lam: ScalarField4, n: int, R_g: float, R_h, x,
     v = float(lam.value(x))
     if v <= 0:
         raise DomainError("conformal factor must be positive")
-    if metric.kind == "flat":
-        lap = float(np.trace(lam.hess(x))) if lam.hess is not None else fd_laplacian(lam.value, x, h)
-        g = np.asarray(lam.grad(x), dtype=float) if lam.grad is not None else fd_gradient(lam.value, x, h)
-        gsq = float(g @ g)
-    else:
-        from .fields import laplace_beltrami
-
-        lap = laplace_beltrami(lam, metric, x, h)
-        g = np.asarray(lam.grad(x), dtype=float) if lam.grad is not None else fd_gradient(lam.value, x, h)
-        gsq = float(g @ g) / metric.factor().value(x) ** 2
+    lap = laplace_beltrami(lam, metric, x, h)
+    g = _grad(lam, x, h)
+    gsq = float(g @ g)
+    if metric.kind != "flat":
+        gsq /= metric.factor().value(x) ** 2
     rh = R_h(x) if callable(R_h) else float(R_h)
     return 2.0 * (n - 1) * lap - v * R_g + v**3 * rh + (n - 1) * (n - 4) / v * gsq
 
@@ -335,8 +231,7 @@ def tension_norm(lam: ScalarField4, n: int, x,
     """Codomain norm of the tension field, (n-2) lam |grad ln lam|_g = (n-2)|grad lam|/mu."""
     x = as_point(x)
     lam.check_domain(x)
-    g = np.asarray(lam.grad(x), dtype=float) if lam.grad is not None else fd_gradient(lam.value, x, h)
-    nrm = float(np.linalg.norm(g))
+    nrm = float(np.linalg.norm(_grad(lam, x, h)))
     if metric.kind != "flat":
         nrm /= metric.factor().value(x)
     return (n - 2) * nrm
@@ -359,9 +254,8 @@ def isoparametric_residuals(lam: ScalarField4, datum: EinsteinDatum,
     x = as_point(x)
     lam.check_domain(x)
     v = float(lam.value(x))
-    lap = float(np.trace(lam.hess(x))) if lam.hess is not None else fd_laplacian(lam.value, x, h)
-    g = np.asarray(lam.grad(x), dtype=float) if lam.grad is not None else fd_gradient(lam.value, x, h)
-    r1 = lap - uprime(v)
+    g = _grad(lam, x, h)
+    r1 = _lap(lam, x, h) - uprime(v)
     r2 = float(g @ g) - 2.0 / (datum.n - 4) * (v * uprime(v) - 4.0 * u(v) + datum.a * v**2)
     return r1, r2
 
@@ -404,21 +298,6 @@ def standard_grid(n_points: int = 200, radius: float = 5.0,
     return np.asarray(out)
 
 
-def grid_for_field(lam: ScalarField4, n_points: int = 200, radius: float = 5.0,
-                   seed: int | None = None) -> np.ndarray:
-    return standard_grid(n_points, radius, lam.singular_set, seed=seed)
-
-
-def domain_mask(lam: ScalarField4, grid) -> np.ndarray:
-    """Per grid point, whether the closed-form lam is defined there: outside
-    the singular margin and where every q_i > 0."""
-    X = np.asarray(grid, dtype=float)
-    ok = lam.closed_form.in_domain(X)
-    for s in lam.singular_set:
-        ok &= s.distance(X) >= SINGULAR_EXCLUSION
-    return ok
-
-
 def residual_report(equation: str, lam: ScalarField4, grid: np.ndarray, *,
                     datum: EinsteinDatum | None = None,
                     a: float | None = None, A: float | None = None,
@@ -427,9 +306,10 @@ def residual_report(equation: str, lam: ScalarField4, grid: np.ndarray, *,
                     grid_meta: dict | None = None) -> ResidualReport:
     """Sweep a residual over a grid, collecting magnitudes into a report.
 
-    Points raising DomainError are counted as failed and excluded from the
-    norms; on the exact path these are the points within the singular
-    margin of the set and those where some q_i <= 0.
+    Points where lam is not defined are counted as failed and excluded
+    from the norms: for yamabe those raising DomainError, for the 3rd-order
+    equations those `jets` marks (within the singular margin, some
+    q_i <= 0, or a difference stencil that fails).
     """
     params: dict = {"metric": metric.kind}
     if equation == "yamabe":
@@ -445,28 +325,19 @@ def residual_report(equation: str, lam: ScalarField4, grid: np.ndarray, *,
     if h is not None:
         params["h"] = h
     X = np.asarray(grid, dtype=float)
-    exact = None if equation == "yamabe" else _closed_forms(lam, metric)
-    if exact is not None:
-        if metric.kind != "flat" and datum.n != 4:
-            raise UnsupportedDimensionError("curved-metric residuals are implemented for n = 4 only")
-        ok = domain_mask(lam, X)
-        n_failed = int(np.count_nonzero(~ok))
-        mags = np.linalg.norm(_exact_residuals(equation, *exact, X[ok], datum.n, datum.a), axis=1)
-    else:
+    if equation == "yamabe":
         mags = []
-        n_failed = 0
         for p in X:
             try:
-                if equation == "yamabe":
-                    r = abs(yamabe_residual(lam, a, A, p, metric=metric, h=h or DEFAULT_FD_STEP))
-                elif equation == "biharmonic":
-                    r = float(np.linalg.norm(biharmonic_residual(lam, datum, p, metric=metric, h=h)))
-                else:
-                    r = float(np.linalg.norm(einstein_form_residual(lam, datum, p, metric=metric, h=h)))
-                mags.append(r)
+                mags.append(abs(yamabe_residual(lam, a, A, p, metric=metric, h=h or DEFAULT_FD_STEP)))
             except DomainError:
-                n_failed += 1
+                pass
         mags = np.asarray(mags)
+        n_failed = len(X) - mags.size
+    else:
+        ok, vecs = _third_order(equation, lam, datum, X, metric, h)
+        n_failed = int(np.count_nonzero(~ok))
+        mags = np.linalg.norm(vecs, axis=1)
     if mags.size == 0:
         raise DomainError("every grid point fell in a singular neighbourhood")
     meta = dict(grid_meta or {})

@@ -94,6 +94,7 @@ class TorusRun:
     newton_iterations: int
 
 
+@np.errstate(all="ignore")  # an overflowing residual shows as a non-finite norm
 def _newton(residual: Callable, jac_solve: Callable, z0: np.ndarray, tol: float,
             max_iter: int, n_positive: Optional[int] = None,
             monitor: Optional[Callable] = None):
@@ -102,13 +103,18 @@ def _newton(residual: Callable, jac_solve: Callable, z0: np.ndarray, tol: float,
     Steps that would make one of the first `n_positive` unknowns (all of
     them by default) non-positive are damped, never clipped.  `monitor`
     sees every iterate whose residual is tested.  Returns the iterate, its
-    residual norm, the number of steps and the norm history.
+    residual norm, the number of steps and the norm history.  A non-finite
+    residual fails the solve; a trial step is halved until its residual is finite.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     z = np.array(z0, dtype=float)
     F = residual(z)
     history = []
     for it in range(max_iter + 1):
         nrm = float(np.max(np.abs(F)))
+        if not math.isfinite(nrm):
+            raise ConvergenceError("residual is not finite", iterate=z, residual=nrm)
         history.append(nrm)
         if monitor is not None:
             monitor(z)
@@ -520,6 +526,8 @@ def solve_torus(A: float, init: np.ndarray, a: float = 0.0,
     """
     if a != 0.0:
         raise ValueError("the periodic reduction is stated for the Ricci-flat case a = 0")
+    if not math.isfinite(A):
+        raise ValueError(f"A must be finite, got {A}")
     lam = np.asarray(init, dtype=float)
     N = lam.size
     if N < 3:

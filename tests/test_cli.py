@@ -1,10 +1,14 @@
 """Command-line surface: exit codes, determinism, config round trips."""
 
+import contextlib
+import io
 import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biharm4.cli import (
     EXIT_OK,
@@ -228,6 +232,15 @@ def test_solve_radial_singular_jacobian_is_solver_failure(capsys):
     assert capsys.readouterr().err.startswith("solver failure:")
 
 
+def test_solve_radial_overflowing_iterate_is_solver_failure(capsys):
+    # v0^3 overflows in the first residual: a solver failure, not a numpy warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["solve", "radial", "--v0", "1e300"]) == EXIT_SOLVER
+    assert not caught
+    assert capsys.readouterr().err.startswith("solver failure:")
+
+
 @pytest.mark.parametrize("args", [
     ["solve", "radial", "--rmax", "-1"],
     ["solve", "radial", "--rmax", "nan"],
@@ -235,6 +248,12 @@ def test_solve_radial_singular_jacobian_is_solver_failure(capsys):
     ["solve", "s4", "-N", "1"],
     ["solve", "s4", "--k", "-1"],
     ["sweep", "s4-branch", "--k-from", "-1"],
+    ["solve", "radial", "--tol", "nan"],
+    ["solve", "s4", "--tol", "-1"],
+    ["solve", "torus", "--A", "nan"],
+    ["solve", "torus", "--A", "inf"],
+    ["solve", "radial", "--rmax", "1e300"],
+    ["mobius-audit", "--random", "-1"],
 ])
 def test_solver_input_checks_are_usage_errors(args, tmp_path, capsys):
     with warnings.catch_warnings(record=True) as caught:
@@ -273,3 +292,47 @@ def test_sweep_branch_jsonl(tmp_path):
     summary = json.loads(rep.read_text())
     assert summary["status"] == "ok"
     assert summary["n_points"] == 6
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract on generated arguments
+# ---------------------------------------------------------------------------
+
+_NUMBER = st.sampled_from(["0", "-1", "0.5", "2", "1e-300", "1e300", "nan", "inf", "-inf", "x"])
+
+
+def _flags(options: dict) -> list:
+    return [t for key, value in sorted(options.items()) for t in (key, value)]
+
+
+_VERIFY = st.fixed_dictionaries(
+    {"--family": st.sampled_from(["inverse_radius", "poincare_ball", "power_alpha", "bubble", "nope"]),
+     "--equation": st.sampled_from(["yamabe", "biharmonic", "einstein-form", "bogus"]),
+     "--points": st.sampled_from(["1", "8", "0", "-2", "1.5"])},
+    optional={"--radius": _NUMBER, "--a": _NUMBER, "--A": _NUMBER, "--alpha": _NUMBER,
+              "--delta": _NUMBER, "--tolerance": _NUMBER, "--seed": st.sampled_from(["0", "-1", "x"])},
+).map(lambda o: ["verify"] + _flags(o))
+
+_AUDIT = st.fixed_dictionaries(
+    {"--random": st.sampled_from(["-1", "0", "1", "x"])},
+    optional={"--pairing": st.sampled_from(["flat-flat", "sphere-flat", "bogus"]),
+              "--seed": st.sampled_from(["0", "-5", "x"])},
+).map(lambda o: ["mobius-audit"] + _flags(o))
+
+_RADIAL = st.fixed_dictionaries(
+    {"-N": st.sampled_from(["100", "200", "50", "-1", "x"])},
+    optional={"--v0": _NUMBER, "--rmax": _NUMBER, "--tol": _NUMBER},
+).map(lambda o: ["solve", "radial"] + _flags(o))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(args=st.one_of(_VERIFY, _AUDIT, _RADIAL))
+def test_generated_arguments_keep_the_exit_code_contract(args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(args)
+        except SystemExit as exc:  # argparse rejects the line itself, e.g. "--tol -inf"
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, EXIT_SOLVER)
+    assert "Traceback" not in err.getvalue()

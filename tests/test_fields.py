@@ -13,17 +13,18 @@ from biharm4.fields import (
     DomainError,
     EinsteinDatum,
     LogQuadratic,
-    ModeError,
     ScalarField4,
     SingularLocus,
     fd_consistency,
     fd_gradient,
+    fd_jets,
+    fd_laplacian,
     gradient,
     laplace_beltrami,
     laplacian_flat,
     radial_power_field,
 )
-from biharm4.residuals import biharmonic_residual
+from biharm4.residuals import biharmonic_residual, einstein_form_residual
 
 
 def radius_field():
@@ -36,7 +37,7 @@ def radius_field():
 def test_gradient_of_radius_squared():
     f = radius_field()
     assert np.allclose(gradient(f, [1, 0, 0, 0]), [2, 0, 0, 0])
-    assert np.allclose(gradient(f, [1, 0, 0, 0], mode="fd"), [2, 0, 0, 0], atol=1e-10)
+    assert np.allclose(fd_gradient(f.value, np.array([1.0, 0, 0, 0])), [2, 0, 0, 0], atol=1e-10)
 
 
 def test_gradient_of_inverse_radius():
@@ -54,7 +55,7 @@ def test_laplacian_inverse_radius_on_unit_sphere():
     f = classical_example("inverse_radius").field
     x = np.array([0.0, 1.0, 0.0, 0.0])
     assert laplacian_flat(f, x) == pytest.approx(-1.0, abs=1e-12)
-    assert laplacian_flat(f, x, mode="fd") == pytest.approx(-1.0, abs=1e-6)
+    assert fd_laplacian(f.value, x) == pytest.approx(-1.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("alpha", [-0.5, 1.3, -1.0])
@@ -76,15 +77,30 @@ def test_singular_point_rejected():
     f = classical_example("inverse_radius").field
     with pytest.raises(DomainError):
         gradient(f, np.zeros(4))
+    # a value-only copy takes the difference path, behind the same domain check
     with pytest.raises(DomainError):
-        laplacian_flat(f, [1e-10, 0, 0, 0], mode="fd")
+        laplacian_flat(ScalarField4(f.value, singular_set=f.singular_set), [1e-10, 0, 0, 0])
 
 
-def test_missing_analytic_evaluator_is_mode_error():
-    f = ScalarField4(lambda x: float(x[0]))
-    with pytest.raises(ModeError):
-        gradient(f, np.zeros(4))
-    assert gradient(f, np.zeros(4), mode="fd")[0] == pytest.approx(1.0)
+def test_value_only_field_falls_back_to_differences():
+    f = ScalarField4(lambda x: float(x[0] * x[0]))
+    x = np.array([0.5, 0.0, 0.0, 0.0])
+    assert gradient(f, x)[0] == pytest.approx(1.0)
+    assert laplacian_flat(f, x) == pytest.approx(2.0)
+    with pytest.raises(ValueError):
+        fd_consistency(f, x)
+
+
+def test_fd_jets_fail_the_rows_outside_the_domain():
+    # a value-only copy of 2/(1-|x|^2): inside the ball, a stencil that would
+    # reach the singular sphere's margin, and outside, where q < 0 raises
+    lam = classical_example("poincare_ball").field
+    plain = ScalarField4(lam.value, singular_set=lam.singular_set)
+    X = np.array([[0.2, 0.1, 0.0, 0.0], [1.0 - 1e-6, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]])
+    ok, (v, g, H, gL) = fd_jets(plain, X)
+    assert ok.tolist() == [True, False, False]
+    assert v.shape == (1,) and g.shape == (1, 4) and H.shape == (1, 4, 4) and gL.shape == (1, 4)
+    assert v[0] == lam.value(X[0])
 
 
 def test_central_differences_exact_on_quadratics():
@@ -247,13 +263,19 @@ def test_log_quadratic_jets_match_finite_differences(terms, C, x, split):
     lap_u = lambda y: float(np.trace(lq.jets(y[None])[2][0]))
     assert np.allclose(gLu, fd_gradient(lap_u, x, h), rtol=1e-6, atol=1e-8)
 
-    # the exact 3rd-order residual against the value-only finite-difference path
+    # the difference jets of a value-only copy against the exact ones, and the
+    # 3rd-order residuals the two feed
     exact_field, plain = lq.field(), ScalarField4(lq.value)
+    ok, fd = fd_jets(plain, x[None])
+    assert ok.tolist() == [True]
+    for j_fd, j_exact in zip(fd, lq.jets(x[None])):
+        assert np.allclose(j_fd, j_exact, rtol=1e-4, atol=1e-4)
     for datum, metric in ((EinsteinDatum(4, 0.0), ConformalMetricDescriptor.flat()),
                           (EinsteinDatum(4, 3.0), ConformalMetricDescriptor.spherical())):
-        exact = biharmonic_residual(exact_field, datum, x, metric=metric)
-        fd = biharmonic_residual(plain, datum, x, metric=metric)
-        assert np.allclose(exact, fd, rtol=1e-4, atol=1e-4)
+        for residual in (biharmonic_residual, einstein_form_residual):
+            exact = residual(exact_field, datum, x, metric=metric)
+            fd = residual(plain, datum, x, metric=metric)
+            assert np.allclose(exact, fd, rtol=1e-4, atol=1e-4)
 
     # a product's jets are its factors' jets added (lam multiplied)
     left, right = LogQuadratic(C, terms[:split]), LogQuadratic(1.0, terms[split:])

@@ -85,6 +85,20 @@ def test_radial_validation_and_determinism():
     assert np.array_equal(a.values, b.values)
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+def test_newton_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="tol"):
+        solve_radial_r4(2.0, 10.0, 200, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        solve_s4(3.0, np.full(101, math.sqrt(3.0)), tol=tol)
+
+
+def test_radial_overflowing_iterate_is_convergence_error():
+    # the first residual overflows (v^3 with v ~ 1e300): no numpy warning, a solver failure
+    with pytest.raises(ConvergenceError, match="not finite"):
+        solve_radial_r4(1e300, 10.0, 200)
+
+
 def test_profile_invariants():
     th = torus_grid(256)
     # every solver output: radial, fixed-k S^4, continuation points, torus
@@ -320,6 +334,9 @@ def test_torus_laplacian_integral_telescopes():
 def test_torus_rejects_curved_case():
     with pytest.raises(ValueError):
         solve_torus(-1.0, np.ones(64), a=3.0)
+    for A in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            solve_torus(A, np.ones(64))
 
 
 # ---------------------------------------------------------------------------
