@@ -367,7 +367,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     tol = cfg.getfloat("tol", 1e-9)
     run = solver.continue_branch(ell, k_from, k_to, steps, N=N, tol=tol)
     out_path = cfg.get("out", "s4_branch.jsonl")
-    solver.append_branch_jsonl(run.points, out_path)
+    solver.write_branch_jsonl(run.points, out_path)
     summary = {
         "command": "sweep",
         "config": cfg.to_text(),

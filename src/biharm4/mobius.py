@@ -239,13 +239,15 @@ def classify_mobius(T: MobiusTransform, pairing: str,
                     n_points: int = 60, seed: int | None = None) -> Verdict:
     """Classify T under the pairing, attaching numerical residual evidence.
 
-    Verdicts follow the closed-form analysis per pairing; the evidence dict
-    carries residual sup-norms over a verification grid (the spherical
-    domain is sampled in |x| <= 3 with Einstein constant a = 3) plus the
-    fitted cubic coefficient for flat-domain cases.
+    Verdicts follow the closed-form analysis per pairing.  All grid evidence
+    comes from one batch of exact jets of ln lam (and of ln mu on the
+    spherical domain, sampled in |x| <= 3 with Einstein constant a = 3):
+    the biharmonic residual and tension sup-norms, the factor's range for
+    sphere->sphere, and for flat-domain cases the cubic coefficient fitted
+    on the first 12 grid points.
     """
     from .fields import ConformalMetricDescriptor, EinsteinDatum
-    from .residuals import estimate_A, residual_report, standard_grid, tension_norm
+    from .residuals import _grid_jets, _least_squares_A, _residual_vectors, standard_grid
 
     if pairing not in PAIRINGS:
         raise ValueError(f"unknown pairing {pairing!r}")
@@ -256,14 +258,23 @@ def classify_mobius(T: MobiusTransform, pairing: str,
     radius = 3.0 if spherical_domain else 5.0
     grid = standard_grid(n_points, radius, factor.singular_set, seed=seed)
 
-    sup_bh = residual_report("biharmonic", factor, grid, datum=datum, metric=metric).sup
-    sup_tension = max(tension_norm(factor, 4, p, metric=metric) for p in grid)
-    evidence = {"biharmonic_residual_sup": sup_bh, "tension_sup": sup_tension,
+    # the grid keeps off the singular set, so the factor is defined at every row
+    _, lam_jets, mu_jets = _grid_jets(factor, grid, metric)
+    lam, g, H, _ = lam_jets
+    bh = _residual_vectors("biharmonic", lam_jets, mu_jets, datum.n, datum.a)
+    # the tension norm (n-2)|grad lam|/mu = (n-2) lam |grad ln lam| / mu
+    tension = (datum.n - 2) * lam * np.linalg.norm(g, axis=1) / (1.0 if mu_jets is None else mu_jets[0])
+    evidence = {"biharmonic_residual_sup": float(np.max(np.linalg.norm(bh, axis=1))),
+                "tension_sup": float(np.max(tension)),
                 "einstein_a": datum.a, "grid_radius": radius, "n_points": int(len(grid))}
 
-    if pairing == "flat-flat":
-        fit = estimate_A(factor, 0.0, grid[:12])
+    if not spherical_domain:
+        # Delta lam = lam (tr Hess ln lam + |grad ln lam|^2) = A lam^3 with a = 0
+        lap = lam[:12] * (np.trace(H[:12], axis1=1, axis2=2) + np.einsum("ki,ki->k", g[:12], g[:12]))
+        fit = _least_squares_A(lap, lam[:12] ** 3)
         evidence.update(fitted_A=fit.value, fit_residual=fit.fit_residual)
+
+    if pairing == "flat-flat":
         if T.eps == 0:
             return Verdict("harmonic", "constant conformal factor (homothety)", evidence)
         return Verdict("proper_biharmonic", "harmonic nonconstant factor solves the cubic equation with A = 0", evidence)
@@ -272,9 +283,7 @@ def classify_mobius(T: MobiusTransform, pairing: str,
         nf = mobius_normal_form(T, verify=False)
         rng = np.random.default_rng(99)
         nf_err = max(abs(factor.value(q) - nf.value(q)) for q in rng.uniform(-3, 3, size=(25, 4)))
-        fit = estimate_A(factor, 0.0, grid[:12])
-        evidence.update(fitted_A=fit.value, fit_residual=fit.fit_residual,
-                        normal_form_error=nf_err, delta=nf.delta)
+        evidence.update(normal_form_error=nf_err, delta=nf.delta)
         return Verdict("proper_biharmonic",
                        "factor is a bubble 2*delta/(delta^2+|x-e|^2), solving the cubic equation with A = -2",
                        evidence)
@@ -285,8 +294,7 @@ def classify_mobius(T: MobiusTransform, pairing: str,
                        evidence)
 
     # sphere-sphere
-    vals = [factor.value(p) for p in grid]
-    evidence["factor_range"] = float(np.max(vals) - np.min(vals))
+    evidence["factor_range"] = float(np.max(lam) - np.min(lam))
     if _isometry_parameters(T):
         return Verdict("harmonic", "sphere isometry: conformal factor identically 1", evidence)
     return Verdict("not_biharmonic",

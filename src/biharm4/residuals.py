@@ -19,9 +19,11 @@ Both 3rd-order residuals are one formula in the jets of ln lam and ln mu
 (value, gradient, Hessian, gradient of the Laplacian) on a whole grid at
 once.  `fields.jets` gives them exactly for a field that carries a
 LogQuadratic, so residuals of true solutions vanish to roundoff, and from
-a 41-point central-difference stencil at step 1e-3 (good to about 1e-4)
-for any other field; mu is always exact.  The 2nd-order residuals use the
-field's `grad`/`hess` evaluators where it has them, differences otherwise.
+a 41-point central-difference stencil at step 1e-3 for any other field:
+good to about 1e-4 for the biharmonic residual, but the einstein form
+carries lam^2 and can miss by more where lam is large.  mu is always
+exact.  The 2nd-order residuals use the field's `grad`/`hess` evaluators
+where it has them, differences otherwise.
 """
 
 from __future__ import annotations
@@ -126,13 +128,19 @@ def _residual_vectors(equation: str, lam_jets, mu_jets, n: int, a: float) -> np.
     return vec * e
 
 
+def _grid_jets(lam: ScalarField4, X: np.ndarray, metric: ConformalMetricDescriptor,
+               h: float | None = None):
+    """(ok, jets of ln lam, exact jets of ln mu or None if flat) at the rows where lam is defined."""
+    ok, lam_jets = jets(lam, X, FD_JET_STEP if h is None else h)
+    return ok, lam_jets, None if metric.kind == "flat" else metric.factor().closed_form.jets(X[ok])
+
+
 def _third_order(equation: str, lam: ScalarField4, datum: EinsteinDatum, X: np.ndarray,
                  metric: ConformalMetricDescriptor, h: float | None):
     """(ok, residual vectors at the rows of X where lam is defined)."""
     if metric.kind != "flat" and datum.n != 4:
         raise UnsupportedDimensionError("curved-metric residuals are implemented for n = 4 only")
-    ok, lam_jets = jets(lam, X, FD_JET_STEP if h is None else h)
-    mu_jets = None if metric.kind == "flat" else metric.factor().closed_form.jets(X[ok])
+    ok, lam_jets, mu_jets = _grid_jets(lam, X, metric, h)
     return ok, _residual_vectors(equation, lam_jets, mu_jets, datum.n, datum.a)
 
 
@@ -178,22 +186,19 @@ def estimate_A(lam: ScalarField4, a: float, samples: Sequence,
                metric: ConformalMetricDescriptor = FLAT, h: float = DEFAULT_FD_STEP) -> ConstantA:
     """Least-squares A from Delta lam - a lam = A lam^3 over sample points."""
     pts = [as_point(p) for p in samples]
-    if len(pts) < 2:
+    rhs = [yamabe_residual(lam, a, 0.0, p, metric=metric, h=h) for p in pts]
+    return _least_squares_A(np.asarray(rhs), np.asarray([float(lam.value(p)) ** 3 for p in pts]))
+
+
+def _least_squares_A(rhs: np.ndarray, cubes: np.ndarray) -> ConstantA:
+    """A minimising |rhs - A cubes|, with rhs = Delta lam - a lam and cubes = lam^3."""
+    if len(cubes) < 2:
         raise ValueError("need at least two sample points")
-    rhs = []
-    cubes = []
-    for p in pts:
-        r = yamabe_residual(lam, a, 0.0, p, metric=metric, h=h)
-        rhs.append(r)
-        cubes.append(float(lam.value(p)) ** 3)
-    rhs = np.asarray(rhs)
-    cubes = np.asarray(cubes)
     denom = float(cubes @ cubes)
-    if denom < 1e-14 * len(pts):
+    if denom < 1e-14 * len(cubes):
         raise IllConditionedError("lam^3 vanishes at every sample; A is undetermined")
     value = float(cubes @ rhs) / denom
-    fit = float(np.sqrt(np.mean((rhs - value * cubes) ** 2)))
-    return ConstantA(value, fit)
+    return ConstantA(value, float(np.sqrt(np.mean((rhs - value * cubes) ** 2))))
 
 
 def codomain_scalar_curvature(A: float, a: float, lam_value: float) -> float:
@@ -279,23 +284,17 @@ def standard_grid(n_points: int = 200, radius: float = 5.0,
     if n_points < 1:
         raise ValueError(f"a grid needs at least one point, got {n_points}")
     sampler = qmc.Halton(d=4, scramble=seed is not None, seed=seed)
-    out = []
-    guard = 0
-    while len(out) < n_points:
-        block = sampler.random(4 * n_points)
-        pts = (2.0 * block - 1.0) * radius
-        for p in pts:
-            if float(p @ p) > radius**2:
-                continue
-            if singular_set and min(s.distance(p) for s in singular_set) < exclusion:
-                continue
-            out.append(p)
-            if len(out) == n_points:
-                break
-        guard += 1
-        if guard > 64:
-            raise ValueError("grid rejection loop failed to fill; exclusions too aggressive")
-    return np.asarray(out)
+    kept, found = [], 0
+    for _ in range(64):
+        pts = (2.0 * sampler.random(4 * n_points) - 1.0) * radius
+        keep = np.einsum("ki,ki->k", pts, pts) <= radius**2
+        for s in singular_set:
+            keep &= s.distance(pts) >= exclusion
+        kept.append(pts[keep][: n_points - found])
+        found += len(kept[-1])
+        if found == n_points:
+            return np.concatenate(kept)
+    raise ValueError("grid rejection loop failed to fill; exclusions too aggressive")
 
 
 def residual_report(equation: str, lam: ScalarField4, grid: np.ndarray, *,

@@ -609,7 +609,8 @@ def branch_point_summary(point: BranchPoint) -> dict:
     }
 
 
-def append_branch_jsonl(points: Sequence[BranchPoint], path) -> None:
-    with open(path, "a") as fh:
+def write_branch_jsonl(points: Sequence[BranchPoint], path) -> None:
+    """One JSON line per branch point; an existing file is overwritten."""
+    with open(path, "w") as fh:
         for p in points:
             fh.write(json.dumps(branch_point_summary(p), sort_keys=True) + "\n")

@@ -294,6 +294,16 @@ def test_sweep_branch_jsonl(tmp_path):
     assert summary["n_points"] == 6
 
 
+def test_sweep_overwrites_its_jsonl(tmp_path):
+    out = tmp_path / "branch.jsonl"
+    args = ["sweep", "s4-branch", "--ell", "2", "--k-from", "5.05", "--k-to", "5.4", "-N", "200",
+            "--out", str(out)]
+    assert run(args + ["--steps", "4"]) == EXIT_OK
+    assert run(args + ["--steps", "3"]) == EXIT_OK
+    lines = out.read_text().strip().splitlines()
+    assert len(lines) == 3   # the second run's points only
+
+
 # ---------------------------------------------------------------------------
 # the exit-code contract on generated arguments
 # ---------------------------------------------------------------------------

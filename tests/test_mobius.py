@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from biharm4.fields import DomainError, EinsteinDatum, fd_laplacian
+from biharm4.fields import ConformalMetricDescriptor, DomainError, EinsteinDatum, fd_laplacian
 from biharm4.mobius import (
     PAIRINGS,
     MobiusTransform,
@@ -21,6 +23,7 @@ from biharm4.mobius import (
     sphere_isometry,
     transform_literal,
 )
+from biharm4.residuals import estimate_A, residual_report, standard_grid, tension_norm
 
 I4 = tuple(map(tuple, np.eye(4)))
 
@@ -159,6 +162,62 @@ def test_composition_group_closure():
             assert abs(nu.value(y) * mu.value(x) - lam.value(x)) < 1e-10
 
 
+# translations on a half-integer lattice: two inversion centres either
+# coincide exactly (the affine branch of mobius_compose) or sit 0.5 apart
+_LATTICE = st.tuples(*[st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])] * 4)
+_ROTATION = st.one_of(st.just(np.eye(4)),
+                      st.integers(0, 2**32 - 1).map(lambda s: random_orthogonal(np.random.default_rng(s))))
+
+
+def _transforms(translations):
+    return st.builds(lambda a, b, alpha, Q, eps: MobiusTransform(a, b, alpha, tuple(map(tuple, Q)), eps),
+                     translations, translations, st.floats(0.25, 4.0), _ROTATION, st.sampled_from([0, 2]))
+
+
+_TRANSFORMS = _transforms(_LATTICE)
+_POINTS = st.tuples(*[st.floats(-3.0, 3.0)] * 4).map(np.array)
+
+
+def _chain(x, *Ts):
+    """x pushed through each transform in turn, or None within 0.1 of a pole."""
+    for T in Ts:
+        if T.eps == 2 and np.linalg.norm(x - T.in_vec) < 0.1:
+            return None
+        x = mobius_apply(T, x)
+    return x
+
+
+def _same_point(got, want):
+    return np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(T1=_TRANSFORMS, T2=_TRANSFORMS, T3=_TRANSFORMS, x=_POINTS)
+def test_composition_is_associative(T1, T2, T3, x):
+    want = _chain(x, T1, T2, T3)
+    assume(want is not None)
+    left = mobius_compose(T3, mobius_compose(T2, T1))
+    right = mobius_compose(mobius_compose(T3, T2), T1)
+    assert _same_point(mobius_apply(left, x), want)
+    assert _same_point(mobius_apply(right, x), want)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(T=_TRANSFORMS, x=_POINTS)
+def test_composition_has_a_two_sided_identity(T, x):
+    E = MobiusTransform((0,) * 4, (0,) * 4, 1.0, I4, 0)
+    want = _chain(x, T)
+    assume(want is not None)
+    assert _same_point(mobius_apply(mobius_compose(E, T), x), want)
+    assert _same_point(mobius_apply(mobius_compose(T, E), x), want)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(T=_transforms(st.tuples(*[st.floats(-1e6, 1e6)] * 4)))
+def test_transform_literal_round_trips(T):
+    assert parse_transform(transform_literal(T)) == T
+
+
 def test_composition_inversion_cancels_to_affine():
     inv = MobiusTransform.inversion()
     T = mobius_compose(inv, inv)
@@ -227,6 +286,53 @@ def test_classify_sphere_sphere_rotation_example():
     T = MobiusTransform((0.0,) * 4, (0.0,) * 4, 1.0, tuple(map(tuple, Q)), 0)
     v = classify_mobius(T, "sphere-sphere")
     assert v.classification == "harmonic"
+
+
+def _agrees(got, want, abs_tol=1e-14):
+    return abs(got - want) <= max(1e-12 * abs(want), abs_tol)
+
+
+def _audit_cases():
+    rng = np.random.default_rng(2024)
+    cases = [(random_transform(rng, eps), pairing) for pairing in PAIRINGS for eps in (0, 2) for _ in range(3)]
+    cases += [(sphere_isometry(eps, random_orthogonal(rng), rng.uniform(-1, 1, 4)), "sphere-sphere")
+              for eps in (0, 2) for _ in range(3)]
+    return cases
+
+
+@pytest.mark.parametrize("T, pairing", _audit_cases())
+def test_classify_evidence_matches_the_pointwise_functions(T, pairing):
+    v = classify_mobius(T, pairing)
+    ev = v.evidence
+    factor = mobius_conformal_factor(T, pairing)
+    spherical = pairing.startswith("sphere")
+    metric = ConformalMetricDescriptor.spherical() if spherical else ConformalMetricDescriptor.flat()
+    grid = standard_grid(60, 3.0 if spherical else 5.0, factor.singular_set)
+    assert ev["n_points"] == len(grid) == 60
+
+    report = residual_report("biharmonic", factor, grid, datum=EinsteinDatum(4, ev["einstein_a"]), metric=metric)
+    assert _agrees(ev["biharmonic_residual_sup"], report.sup)
+    assert _agrees(ev["tension_sup"], max(tension_norm(factor, 4, p, metric=metric) for p in grid))
+    if spherical:
+        assert "fitted_A" not in ev
+    else:
+        fit = estimate_A(factor, 0.0, grid[:12])
+        # the inversion's A is exactly 0, and both fits are roundoff of the
+        # expanded |x - b|^2 near b (|A| below 7e-14 on 1500 random inversions)
+        inversion = pairing == "flat-flat" and T.eps == 2
+        assert _agrees(ev["fitted_A"], fit.value, 1e-13 if inversion else 1e-14)
+        assert _agrees(ev["fit_residual"], fit.fit_residual)
+    if pairing == "sphere-sphere":
+        values = [factor.value(p) for p in grid]
+        assert _agrees(ev["factor_range"], max(values) - min(values))
+
+
+def test_classify_flat_pairings_need_two_fit_points():
+    T = MobiusTransform.inversion()
+    for pairing in ("flat-flat", "flat-sphere"):
+        with pytest.raises(ValueError):
+            classify_mobius(T, pairing, n_points=1)
+    assert classify_mobius(T, "sphere-flat", n_points=1).evidence["n_points"] == 1
 
 
 # ---------------------------------------------------------------------------

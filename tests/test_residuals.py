@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from biharm4.families import Bubble, classical_example, perturbed, solution_catalog
 from biharm4.fields import (
@@ -342,6 +343,40 @@ def test_standard_grid_determinism_and_exclusions():
     assert np.min(np.linalg.norm(g1, axis=1)) > 0.05
     g3 = standard_grid(50, 5.0, s, seed=1)
     assert not np.array_equal(g1, g3)
+
+
+def _per_point_grid(n_points, radius, singular_set=(), exclusion=0.05, seed=None):
+    """The grid filter one candidate at a time: same Halton blocks, same order."""
+    sampler = qmc.Halton(d=4, scramble=seed is not None, seed=seed)
+    out = []
+    for _ in range(64):
+        for p in (2.0 * sampler.random(4 * n_points) - 1.0) * radius:
+            if float(p @ p) <= radius**2 and all(s.distance(p) >= exclusion for s in singular_set):
+                out.append(p)
+                if len(out) == n_points:
+                    return np.asarray(out)
+    raise ValueError("exclusions too aggressive")
+
+
+@pytest.mark.parametrize("seed", [None, 7])
+@pytest.mark.parametrize("singular_set", [(), (SingularLocus((0.3, 0.0, 0.0, 0.0)),),
+                                          (SingularLocus((0.0,) * 4, 1.0),)],
+                         ids=["none", "point", "unit-sphere"])
+@pytest.mark.parametrize("radius", [0.9, 3.0, 5.0])
+def test_standard_grid_equals_the_per_point_filter(radius, singular_set, seed):
+    for n in (1, 60, 200, 800):
+        got = standard_grid(n, radius, singular_set, seed=seed)
+        want = _per_point_grid(n, radius, singular_set, seed=seed)
+        assert got.shape == want.shape == (n, 4)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_standard_grid_rejects_exclusions_that_leave_no_room():
+    everywhere = (SingularLocus((0.0,) * 4),)
+    with pytest.raises(ValueError, match="too aggressive"):
+        standard_grid(10, 1.0, everywhere, exclusion=2.0)
+    with pytest.raises(ValueError):
+        _per_point_grid(10, 1.0, everywhere, exclusion=2.0)
 
 
 def test_catalog_solves_both_equations_on_standard_grids():

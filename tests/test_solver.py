@@ -11,7 +11,6 @@ from biharm4.solver import (
     BranchError,
     ConvergenceError,
     RadialProfile,
-    append_branch_jsonl,
     axisym_mode,
     bifurcation_points,
     continue_branch,
@@ -26,6 +25,7 @@ from biharm4.solver import (
     solve_s4,
     solve_torus,
     torus_grid,
+    write_branch_jsonl,
     _bordered_solve,
     _s4_dense_jacobian,
     _s4_jacobian_banded,
@@ -362,11 +362,11 @@ def test_profile_serialization_round_trip(tmp_path):
 def test_branch_jsonl(tmp_path):
     run = continue_branch(2, 5.05, 5.3, 3, N=200)
     path = tmp_path / "branch.jsonl"
-    append_branch_jsonl(run.points, path)
+    write_branch_jsonl(run.points, path)
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 3
     rec = json.loads(lines[0])
     assert set(rec) == {"k", "amplitude", "gradient_energy", "arclength", "residual_sup", "n"}
-    # appending extends the file
-    append_branch_jsonl(run.points[:1], path)
-    assert len(path.read_text().strip().splitlines()) == 4
+    # writing again replaces the file
+    write_branch_jsonl(run.points[:1], path)
+    assert path.read_text().strip().splitlines() == lines[:1]
