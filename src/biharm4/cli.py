@@ -74,13 +74,18 @@ class RunConfig:
 
     def getfloat(self, key, default=None):
         v = self.options.get(key)
-        if v is not None and not math.isfinite(float(v)):
-            raise ValueError(f"{key} must be a finite number, got {v}")
-        return default if v is None else float(v)
+        return default if v is None else _finite(key, v)
 
     def getint(self, key, default=None):
         v = self.options.get(key)
         return default if v is None else int(v)
+
+
+def _finite(what: str, text: str) -> float:
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"{what} must be a finite number, got {text}")
+    return v
 
 
 def _sci(x: float) -> str:
@@ -207,7 +212,7 @@ def _audit_row(T: mobius.MobiusTransform, pairing: str) -> dict:
         "eps": T.eps,
         "verdict": verdict.classification,
         "reason": verdict.reason,
-        "evidence": {k: (v if not isinstance(v, float) else v) for k, v in verdict.evidence.items()},
+        "evidence": dict(verdict.evidence),
     }
     if pairing == "flat-sphere":
         nf = mobius.mobius_normal_form(T, verify=False)
@@ -319,7 +324,8 @@ def cmd_solve(cfg: RunConfig) -> int:
                 raise ValueError(f"unknown init {init_spec!r} (use constant or mode<ell>[:amp])")
             body = init_spec[4:]
             ell_txt, _, amp_txt = body.partition(":")
-            u0 = u0 + (float(amp_txt) if amp_txt else 0.1) * solver.axisym_mode(int(ell_txt), th)
+            amp = _finite("init amplitude", amp_txt) if amp_txt else 0.1
+            u0 = u0 + amp * solver.axisym_mode(int(ell_txt), th)
         point = solver.solve_s4(k, u0, tol=tol)
         extra = {"k": k, "amplitude": point.amplitude, "gradient_energy": point.gradient_energy}
         _profile_outputs(cfg, point.profile, extra,
@@ -334,10 +340,10 @@ def cmd_solve(cfg: RunConfig) -> int:
         init_spec = cfg.get("init", "sin:0.3")
         if init_spec.startswith("constant"):
             _, _, c = init_spec.partition(":")
-            lam0 = np.full(N, float(c) if c else 1.0)
+            lam0 = np.full(N, _finite("init constant", c) if c else 1.0)
         elif init_spec.startswith("sin"):
             _, _, amp = init_spec.partition(":")
-            lam0 = 1.0 + (float(amp) if amp else 0.3) * np.sin(th)
+            lam0 = 1.0 + (_finite("init amplitude", amp) if amp else 0.3) * np.sin(th)
         else:
             raise ValueError(f"unknown init {init_spec!r} (use constant[:c] or sin[:amp])")
         run = solver.solve_torus(A, lam0, tol=tol)
@@ -480,6 +486,9 @@ def main(argv=None) -> int:
         return EXIT_SOLVER
     except (ValueError, OSError, ArithmeticError) as exc:  # DomainError, TransformParseError: ValueErrors
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a grid or solve too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_USAGE
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .fields import (
     DomainError,
@@ -192,6 +191,8 @@ def sobolev_quotient(v: ScalarField4, n: int, center=None, r_max: float = 80.0,
         return float(g @ g)
 
     if method == "radial":
+        from scipy.integrate import quad
+
         e = np.zeros(n)
         e[0] = 1.0
         w = sphere_surface_area(n)

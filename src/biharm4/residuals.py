@@ -33,8 +33,8 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
+from . import qmc
 from .fields import (
     DEFAULT_FD_STEP,
     FD_JET_STEP,

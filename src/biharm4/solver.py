@@ -25,7 +25,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.special import eval_gegenbauer
 
 MAX_HALVINGS = 30
 
@@ -279,10 +278,12 @@ def _s4_dense_jacobian(u: np.ndarray, k: float) -> np.ndarray:
 
 def axisym_mode(ell: int, theta: np.ndarray) -> np.ndarray:
     """Axisymmetric eigenfunction of -Delta on S^4 (eigenvalue ell(ell+3)),
-    normalized to unit sup norm."""
+    normalized to unit sup norm: the Gegenbauer polynomial
+    C^{3/2}_ell(cos theta) = P'_{ell+1}(cos theta)."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    m = eval_gegenbauer(ell, 1.5, np.cos(theta))
+    legendre = np.polynomial.legendre
+    m = legendre.legval(np.cos(theta), legendre.legder(np.eye(ell + 2)[ell + 1]))
     return m / np.max(np.abs(m))
 
 

@@ -3,13 +3,18 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import biharm4
 from biharm4.cli import (
     EXIT_OK,
     EXIT_SOLVER,
@@ -100,6 +105,37 @@ def test_missing_config_file_is_usage_error(tmp_path, capsys):
     assert run(["verify", "--config", str(tmp_path / "nonexistent.cfg")]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_grid_too_large_to_allocate_is_usage_error(capsys):
+    # 4e11 Halton candidates: the allocation is refused before any memory is touched
+    assert run(["verify", "--family", "bubble", "--points", "100000000000"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and "Traceback" not in err
+
+
+def test_commands_load_no_heavy_scipy_module(tmp_path):
+    # scipy.stats is only for scrambled grids, scipy.integrate only for radial
+    # Sobolev quotients; neither, nor scipy.special, may load on these paths
+    script = f"""
+import sys
+import biharm4
+from biharm4.cli import main
+heavy = ("scipy.stats", "scipy.integrate", "scipy.special")
+loaded = [[m for m in heavy if m in sys.modules]]
+out = {str(tmp_path)!r}
+for args in (["verify", "--family", "bubble"], ["mobius-audit", "--random", "2"], ["solve", "s4"]):
+    main(args + ["--out", out + "/" + args[0] + ".json"])
+    loaded.append([m for m in heavy if m in sys.modules])
+print(loaded)
+"""
+    src = str(Path(biharm4.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[[], [], [], []]"
+    assert (tmp_path / "verify.json").exists() and (tmp_path / "solve.json").exists()
 
 
 @pytest.mark.parametrize("args", [
@@ -254,6 +290,10 @@ def test_solve_radial_overflowing_iterate_is_solver_failure(capsys):
     ["solve", "torus", "--A", "inf"],
     ["solve", "radial", "--rmax", "1e300"],
     ["mobius-audit", "--random", "-1"],
+    ["solve", "s4", "--k", "3", "--init", "mode2:nan"],
+    ["solve", "s4", "--k", "3", "--init", "mode2:inf"],
+    ["solve", "torus", "--init", "sin:nan"],
+    ["solve", "torus", "--init", "constant:inf"],
 ])
 def test_solver_input_checks_are_usage_errors(args, tmp_path, capsys):
     with warnings.catch_warnings(record=True) as caught:

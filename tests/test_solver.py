@@ -148,6 +148,15 @@ def test_axisym_mode_properties():
         axisym_mode(0, th)
 
 
+def test_axisym_mode_is_the_normalised_gegenbauer_polynomial():
+    from scipy.special import eval_gegenbauer
+
+    th = s4_theta_grid(400)
+    for ell in range(1, 8):
+        g = eval_gegenbauer(ell, 1.5, np.cos(th))
+        assert np.max(np.abs(axisym_mode(ell, th) - g / np.max(np.abs(g)))) <= 1e-14
+
+
 def test_bifurcation_formula():
     assert [bifurcation_points(l) for l in (1, 2, 3)] == [2.0, 5.0, 9.0]
     with pytest.raises(ValueError):
