@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -276,12 +277,21 @@ def _s4_dense_jacobian(u: np.ndarray, k: float) -> np.ndarray:
     return J
 
 
+def _mode_index(ell) -> int:
+    try:
+        ell = operator.index(ell)
+    except TypeError:
+        raise ValueError(f"ell must be an integer, got {ell!r}") from None
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
+    return ell
+
+
 def axisym_mode(ell: int, theta: np.ndarray) -> np.ndarray:
     """Axisymmetric eigenfunction of -Delta on S^4 (eigenvalue ell(ell+3)),
     normalized to unit sup norm: the Gegenbauer polynomial
     C^{3/2}_ell(cos theta) = P'_{ell+1}(cos theta)."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
+    ell = _mode_index(ell)
     legendre = np.polynomial.legendre
     m = legendre.legval(np.cos(theta), legendre.legder(np.eye(ell + 2)[ell + 1]))
     return m / np.max(np.abs(m))
@@ -290,8 +300,7 @@ def axisym_mode(ell: int, theta: np.ndarray) -> np.ndarray:
 def bifurcation_points(ell: int) -> float:
     """k at which the constant branch u = sqrt(k) degenerates: linearizing
     gives -Delta w = 2k w, so 2k must hit the eigenvalue ell(ell+3)."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
+    ell = _mode_index(ell)
     return ell * (ell + 3) / 2.0
 
 
@@ -301,17 +310,58 @@ def jacobian_smallest_singular_value(k: float, N: int = 400) -> float:
     return float(np.linalg.svd(J, compute_uv=False)[-1])
 
 
+def _det_is_negative(diag: np.ndarray, offprod: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Whether det(D - 2kI) < 0, for each k in `ks`, for the tridiagonal D
+    with diagonal `diag` and products b_i c_i of its off-diagonal pairs.
+
+    The determinant is the continuant p_i = (d_i - 2k) p_{i-1} - b_{i-1} c_{i-1} p_{i-2};
+    with entries near 8/dtheta^2 it overflows, so the recurrence runs on the
+    ratios r_i = p_i / p_{i-1} = (d_i - 2k) - b_{i-1} c_{i-1} / r_{i-1}, and
+    det = prod r_i is negative when an odd number of them are."""
+    r = diag[:, None] - 2.0 * np.ravel(ks)
+    with np.errstate(divide="ignore"):  # a zero pivot acts as a tiny positive one
+        for i in range(1, diag.size):
+            r[i] -= offprod[i - 1] / r[i - 1]
+    return (np.count_nonzero(r < 0.0, axis=0) % 2 == 1).reshape(np.shape(ks))
+
+
 def detect_bifurcation_points(k_min: float = 1.5, k_max: float = 9.6,
                               dk: float = 0.05, N: int = 400) -> list[float]:
-    """k values where the constant-branch Jacobian's smallest singular value
-    has a local minimum over the scan grid."""
-    ks = np.arange(k_min, k_max + dk / 2, dk)
-    sv = np.array([jacobian_smallest_singular_value(k, N) for k in ks])
-    out = []
-    for i in range(1, ks.size - 1):
-        if sv[i] < sv[i - 1] and sv[i] < sv[i + 1]:
-            out.append(float(ks[i]))
-    return out
+    """Every discrete bifurcation point of the constant branch in [k_min, k_max].
+
+    On the N-interval grid the constant-branch Jacobian is J(k) = D - 2kI,
+    with D the k-independent tridiagonal operator of the S^4 rows, so J(k)
+    is singular exactly at half an eigenvalue of D.  The sign of det J(k)
+    is taken on a grid of spacing at most dk that spans the window; each
+    sign change brackets one such k, and all brackets are then refined
+    together by multisection to a few units in the last place.  The points
+    sit O(dtheta^2) below k_ell = ell(ell+3)/2; at N = 400 the offsets are
+    -1.8e-5, -1.6e-4 and -6.2e-4 for ell = 1, 2, 3.  D annihilates
+    constants, so a window containing k = 0 returns it too, to roundoff.
+    Two eigenvalues of D closer than dk can cancel in the sign and be missed.
+    """
+    if not (math.isfinite(dk) and dk > 0.0):
+        raise ValueError(f"dk must be finite and positive, got {dk}")
+    if not (math.isfinite(k_min) and math.isfinite(k_max) and k_min <= k_max):
+        raise ValueError(f"need finite k_min <= k_max, got [{k_min}, {k_max}]")
+    if N < 2:
+        raise ValueError("the S^4 grid needs N >= 2 intervals")
+    ab = _s4_jacobian_banded(np.zeros(N + 1), 0.0)
+    diag, offprod = ab[1], ab[0, 1:] * ab[2, :-1]
+    ks = np.linspace(k_min, k_max, max(1, math.ceil((k_max - k_min) / dk)) + 1)
+    neg = _det_is_negative(diag, offprod, ks)
+    i = np.flatnonzero(neg[1:] != neg[:-1])
+    lo, hi, neg_lo = ks[i], ks[i + 1], neg[i]
+    # each pass cuts every bracket into 32 and keeps the piece with the first
+    # sign change; above 64 ulp wide its 31 cut points are distinct
+    cuts = np.arange(1, 32) / 32.0
+    rows = np.arange(lo.size)
+    while np.any(hi - lo > 64.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))):
+        pts = np.column_stack([lo, lo[:, None] + (hi - lo)[:, None] * cuts, hi])
+        same = _det_is_negative(diag, offprod, pts[:, 1:-1]) == neg_lo[:, None]
+        j = np.argmin(np.column_stack([same, np.zeros(lo.size, dtype=bool)]), axis=1)
+        lo, hi = pts[rows, j], pts[rows, j + 1]
+    return [float(k) for k in 0.5 * (lo + hi)]
 
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz

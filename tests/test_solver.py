@@ -159,8 +159,14 @@ def test_axisym_mode_is_the_normalised_gegenbauer_polynomial():
 
 def test_bifurcation_formula():
     assert [bifurcation_points(l) for l in (1, 2, 3)] == [2.0, 5.0, 9.0]
-    with pytest.raises(ValueError):
-        bifurcation_points(0)
+    assert bifurcation_points(np.int64(2)) == 5.0
+    th = s4_theta_grid(20)
+    assert np.array_equal(axisym_mode(np.int64(2), th), axisym_mode(2, th))
+    for bad in (0, -1, 1.5, 2.0, "2", None):
+        with pytest.raises(ValueError):
+            bifurcation_points(bad)
+        with pytest.raises(ValueError):
+            axisym_mode(bad, th)
 
 
 def test_bifurcation_detected_numerically():
@@ -171,6 +177,59 @@ def test_bifurcation_detected_numerically():
         assert any(abs(k - k_star) <= 0.05 for k in found), (ell, found)
     # and the singular value really dips there
     assert jacobian_smallest_singular_value(5.0) < 0.1 * jacobian_smallest_singular_value(5.5)
+
+
+def _half_real_eigenvalues(N, k_min, k_max):
+    ev = np.linalg.eigvals(_s4_dense_jacobian(np.zeros(N + 1), 0.0))
+    k = np.sort(ev.real[ev.imag == 0.0]) / 2.0
+    return k[(k >= k_min) & (k <= k_max)]
+
+
+def test_detected_bifurcations_are_half_the_eigenvalues_of_the_constant_branch_operator():
+    # J(k) = D - 2kI on the constant branch, so J is singular at half of D's eigenvalues
+    found = detect_bifurcation_points(1.5, 9.6, 0.05, N=400)
+    ref = _half_real_eigenvalues(400, 1.5, 9.6)
+    assert len(found) == len(ref) == 3
+    assert np.max(np.abs(np.array(found) - ref)) <= 1e-10
+    assert all(abs(k - bifurcation_points(l)) <= 6.3e-4 for l, k in enumerate(found, 1))
+    wide = detect_bifurcation_points(0.5, 60.0, 0.05, N=400)
+    assert np.max(np.abs(np.array(wide) - _half_real_eigenvalues(400, 0.5, 60.0))) <= 1e-10
+    assert len(wide) == 9   # k_1 .. k_9 = 54
+
+
+def test_discrete_bifurcation_offsets_are_second_order():
+    offsets = {N: np.array(detect_bifurcation_points(1.5, 9.6, 0.05, N=N)) - [2.0, 5.0, 9.0]
+               for N in (200, 400, 800)}
+    assert all(np.all(o < 0.0) for o in offsets.values())
+    for coarse, fine in ((200, 400), (400, 800)):
+        ratios = offsets[coarse] / offsets[fine]
+        assert np.all((3.5 < ratios) & (ratios < 4.5)), (coarse, ratios)
+
+
+def test_narrow_window_finds_the_point_inside_it():
+    # the bracketing grid spans [k_min, k_max] even when dk is wider than the window
+    (k1,) = detect_bifurcation_points(1.99, 2.01, 0.05, N=400)
+    assert abs(k1 - _half_real_eigenvalues(400, 1.5, 2.5)[0]) <= 1e-10
+    assert detect_bifurcation_points(2.0, 2.0, 0.05, N=400) == []
+    assert detect_bifurcation_points(2.1, 4.9, 0.05, N=400) == []
+
+
+def test_bifurcation_detection_makes_no_svd_call(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("detect_bifurcation_points called np.linalg.svd")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    assert len(detect_bifurcation_points(1.5, 9.6, 0.05, N=400)) == 3
+
+
+@pytest.mark.parametrize("args", [
+    (1.5, 9.6, 0.0), (1.5, 9.6, -0.05), (1.5, 9.6, math.nan), (1.5, 9.6, math.inf),
+    (math.nan, 9.6, 0.05), (1.5, math.inf, 0.05), (-math.inf, 9.6, 0.05), (9.6, 1.5, 0.05),
+    (1.5, 9.6, 0.05, 1), (1.5, 9.6, 0.05, 0),
+])
+def test_detect_bifurcation_points_rejects_bad_input(args):
+    with pytest.raises(ValueError):
+        detect_bifurcation_points(*args)
 
 
 def test_solve_s4_constant_branch_exact():
