@@ -108,15 +108,11 @@ def _emit(report: dict, out: str | None, human_lines: list[str]) -> None:
         sys.stdout.write(text)
 
 
-def _merge_config(args: argparse.Namespace, keys: list[str]) -> RunConfig:
-    opts = {}
-    if getattr(args, "config", None):
-        cfg = RunConfig.from_text(Path(args.config).read_text())
-        opts.update(cfg.options)
-    for key in keys:
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            opts[key] = str(val)
+def _merge_config(args: argparse.Namespace) -> RunConfig:
+    opts = RunConfig.from_text(Path(args.config).read_text()).options if args.config else {}
+    for key, val in vars(args).items():
+        if key not in ("cmd", "config") and val is not None:
+            opts[key.replace("_", "-")] = str(val)
     return RunConfig(args.cmd, opts)
 
 
@@ -455,20 +451,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_OPTION_KEYS = {
-    "verify": ["family", "equation", "a", "A", "alpha", "delta", "x0", "points",
-               "radius", "tolerance", "seed", "out", "csv"],
-    "mobius-audit": ["transform", "pairing", "all-pairings", "random", "seed", "out"],
-    "solve": ["system", "v0", "rmax", "k", "A", "init", "N", "tol", "out", "csv"],
-    "sweep": ["system", "ell", "k-from", "k-to", "steps", "N", "tol", "out", "report"],
-}
-
-
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        cfg = _merge_config(args, _OPTION_KEYS[args.cmd])
+        cfg = _merge_config(args)
         # out-of-range input raises ArithmeticError, not a numpy warning
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             if args.cmd == "verify":

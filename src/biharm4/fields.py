@@ -143,7 +143,7 @@ class LogQuadratic:
                             name=name, closed_form=self)
 
     # the single-point evaluators use ndarray.dot, which costs about half of
-    # `@` on 4-vectors; sobolev_quotient and tension_norm call them per point
+    # `@` on 4-vectors; sobolev_quotient calls them per point
     def value(self, x) -> float:
         x = np.asarray(x, dtype=float)
         v = self.C
@@ -237,7 +237,7 @@ def fd_laplacian(f: Callable[[np.ndarray], float], x: np.ndarray, h: float = DEF
     return float(acc / h**2)
 
 
-# the one analytic-or-difference choice of the 2nd-order operators; x must
+# the analytic-or-difference choice of the per-point operators; x must
 # already be a validated point in f's domain
 def _grad(f: ScalarField4, x: np.ndarray, h: float = DEFAULT_FD_STEP) -> np.ndarray:
     return np.asarray(f.grad(x), dtype=float) if f.grad is not None else fd_gradient(f.value, x, h)

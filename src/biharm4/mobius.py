@@ -247,7 +247,8 @@ def classify_mobius(T: MobiusTransform, pairing: str,
     on the first 12 grid points.
     """
     from .fields import ConformalMetricDescriptor, EinsteinDatum
-    from .residuals import _grid_jets, _least_squares_A, _residual_vectors, standard_grid
+    from .residuals import (_grid_jets, _jet_terms, _lam_terms, _least_squares_A, _residual_vectors, _tension,
+                            standard_grid)
 
     if pairing not in PAIRINGS:
         raise ValueError(f"unknown pairing {pairing!r}")
@@ -260,18 +261,15 @@ def classify_mobius(T: MobiusTransform, pairing: str,
 
     # the grid keeps off the singular set, so the factor is defined at every row
     _, lam_jets, mu_jets = _grid_jets(factor, grid, metric)
-    lam, g, H, _ = lam_jets
-    bh = _residual_vectors("biharmonic", lam_jets, mu_jets, datum.n, datum.a)
-    # the tension norm (n-2)|grad lam|/mu = (n-2) lam |grad ln lam| / mu
-    tension = (datum.n - 2) * lam * np.linalg.norm(g, axis=1) / (1.0 if mu_jets is None else mu_jets[0])
+    terms = _jet_terms(lam_jets, mu_jets)
+    bh = _residual_vectors("biharmonic", lam_jets, terms, datum.n, datum.a)
+    lam, grad_sq, lap = _lam_terms(lam_jets[0], terms)
     evidence = {"biharmonic_residual_sup": float(np.max(np.linalg.norm(bh, axis=1))),
-                "tension_sup": float(np.max(tension)),
+                "tension_sup": float(np.max(_tension(datum.n, grad_sq))),
                 "einstein_a": datum.a, "grid_radius": radius, "n_points": int(len(grid))}
 
     if not spherical_domain:
-        # Delta lam = lam (tr Hess ln lam + |grad ln lam|^2) = A lam^3 with a = 0
-        lap = lam[:12] * (np.trace(H[:12], axis1=1, axis2=2) + np.einsum("ki,ki->k", g[:12], g[:12]))
-        fit = _least_squares_A(lap, lam[:12] ** 3)
+        fit = _least_squares_A(lam[:12], lap[:12], datum.a)
         evidence.update(fitted_A=fit.value, fit_residual=fit.fit_residual)
 
     if pairing == "flat-flat":

@@ -22,8 +22,8 @@ LogQuadratic, so residuals of true solutions vanish to roundoff, and from
 a 41-point central-difference stencil at step 1e-3 for any other field:
 good to about 1e-4 for the biharmonic residual, but the einstein form
 carries lam^2 and can miss by more where lam is large.  mu is always
-exact.  The 2nd-order residuals use the field's `grad`/`hess` evaluators
-where it has them, differences otherwise.
+exact.  The 2nd-order residuals need only lam, |grad lam|_g and Delta_g lam:
+the same exact jets, else the field's `grad`/`hess` or central differences.
 """
 
 from __future__ import annotations
@@ -43,11 +43,8 @@ from .fields import (
     DomainError,
     EinsteinDatum,
     ScalarField4,
-    _grad,
-    _lap,
     as_point,
     jets,
-    laplace_beltrami,
 )
 
 GRID_EXCLUSION = 0.05
@@ -91,30 +88,32 @@ class ResidualReport:
             raise ValueError("per-point magnitudes must match the successful point count")
 
 
-def _residual_vectors(equation: str, lam_jets, mu_jets, n: int, a: float) -> np.ndarray:
+def _jet_terms(lam_jets, mu_jets):
+    """(e, grad m, Hess m, s, L) from the jets of u = ln lam and m = ln mu (None if flat),
+    with e = mu^-2, s = |grad u|^2, L = Delta u + 2 <grad m, grad u>: Delta_g u = e L."""
+    lam, gu, Hu, _ = lam_jets
+    mu, gm, Hm, _ = (np.ones(len(lam)), np.zeros_like(gu), np.zeros_like(Hu), None) if mu_jets is None else mu_jets
+    e = mu**-2.0
+    s, gmu = np.einsum("ki,ki->k", gu, gu)[:, None], np.einsum("ki,ki->k", gm, gu)[:, None]
+    return e[:, None], gm, Hm, s, np.trace(Hu, axis1=1, axis2=2)[:, None] + 2.0 * gmu
+
+
+def _lam_terms(lam: np.ndarray, terms):
+    """(lam, |grad lam|_g^2, Delta_g lam) from the `_jet_terms`: e lam^2 s and e lam (L + s)."""
+    e, _, _, s, L = terms
+    return lam, (e * s)[:, 0] * lam**2, (e * (L + s))[:, 0] * lam
+
+
+def _residual_vectors(equation: str, lam_jets, terms, n: int, a: float) -> np.ndarray:
     """Biharmonic or einstein_form residual vectors from the jets of ln lam
-    (and of ln mu, None for the flat metric) at a batch of points.
-
-    With u = ln lam, m = ln mu and e = mu^-2: Delta_g u = e L with
-    L = Delta u + 2 <grad m, grad u>, |grad_g u|^2 = e s with s = |grad u|^2,
-    and grad e = -2 e grad m."""
+    and their `_jet_terms` at a batch of points; grad e = -2 e grad m."""
     lam, gu, Hu, gLu = lam_jets
-    if mu_jets is None:
-        e, gm, Hm = np.ones(len(lam)), np.zeros_like(gu), np.zeros_like(Hu)
-    else:
-        mu, gm, Hm, _ = mu_jets
-        e = mu**-2.0
-
-    def dot(u, v):
-        return np.einsum("ki,ki->k", u, v)[:, None]
+    e, gm, Hm, s, L = terms
 
     def mat(H, v):
         return np.einsum("kij,kj->ki", H, v)
 
-    e = e[:, None]
-    s = dot(gu, gu)
     Hgu = mat(Hu, gu)
-    L = np.trace(Hu, axis1=1, axis2=2)[:, None] + 2.0 * dot(gm, gu)
     grad_L = gLu + 2.0 * mat(Hm, gu) + 2.0 * mat(Hu, gm)
     if equation == "biharmonic":
         vec = (e * (grad_L - 2.0 * L * gm) - e * (2.0 * L + (n - 2) * s) * gu + 2.0 * a * gu
@@ -128,29 +127,70 @@ def _residual_vectors(equation: str, lam_jets, mu_jets, n: int, a: float) -> np.
     return vec * e
 
 
-def _grid_jets(lam: ScalarField4, X: np.ndarray, metric: ConformalMetricDescriptor,
-               h: float | None = None):
+def _step(h: float | None, default: float) -> float:
+    if h is not None and not (math.isfinite(h) and h > 0):
+        raise ValueError(f"difference step h must be finite and positive, got {h}")
+    return default if h is None else h
+
+
+def _grid_jets(lam: ScalarField4, X: np.ndarray, metric: ConformalMetricDescriptor, h: float | None = None):
     """(ok, jets of ln lam, exact jets of ln mu or None if flat) at the rows where lam is defined."""
-    ok, lam_jets = jets(lam, X, FD_JET_STEP if h is None else h)
+    ok, lam_jets = jets(lam, X, _step(h, FD_JET_STEP))
     return ok, lam_jets, None if metric.kind == "flat" else metric.factor().closed_form.jets(X[ok])
 
 
-def _third_order(equation: str, lam: ScalarField4, datum: EinsteinDatum, X: np.ndarray,
-                 metric: ConformalMetricDescriptor, h: float | None):
-    """(ok, residual vectors at the rows of X where lam is defined)."""
+def _second_order(lam: ScalarField4, X: np.ndarray, metric: ConformalMetricDescriptor, h: float | None = None):
+    """(ok, lam, |grad lam|_g^2, Delta_g lam) at the rows of X where lam is defined: exact
+    jets for a closed-form lam, else per row its `grad`/`hess` where it has them and O(h^2)
+    central differences on the centre and +-h on each axis (2n + 1 values) where not."""
+    h = _step(h, DEFAULT_FD_STEP)
+    if metric.kind != "flat" and X.shape[1] != 4:
+        raise UnsupportedDimensionError("curved-metric residuals are implemented for n = 4 only")
+    if lam.closed_form is not None:
+        ok, lam_jets, mu_jets = _grid_jets(lam, X, metric)
+        return (ok, *_lam_terms(lam_jets[0], _jet_terms(lam_jets, mu_jets)))
+    E = h * np.eye(X.shape[1])
+    ok, v, G, lap = np.zeros(len(X), dtype=bool), np.zeros(len(X)), np.zeros(X.shape), np.zeros(len(X))
+    for k, x in enumerate(X):
+        try:
+            lam.check_domain(x)
+            stencil = [x] if lam.grad is not None and lam.hess is not None else [x, *(x + E), *(x - E)]
+            f = np.array([lam.value(y) for y in stencil], dtype=float)
+            v[k], (fp, fm) = f[0], np.split(f[1:], 2)
+            G[k] = lam.grad(x) if lam.grad is not None else (fp - fm) / (2.0 * h)
+            lap[k] = np.trace(lam.hess(x)) if lam.hess is not None else np.sum(fp - 2.0 * v[k] + fm) / h**2
+            ok[k] = True
+        except DomainError:
+            pass
+    G = G[ok]
+    mu, gm = (1.0, np.zeros_like(G)) if metric.kind == "flat" else metric.factor().closed_form.jets(X[ok])[:2]
+    return ok, v[ok], np.einsum("ki,ki->k", G, G) / mu**2, (lap[ok] + 2.0 * np.einsum("ki,ki->k", gm, G)) / mu**2
+
+
+def _residual_rows(lam: ScalarField4, X: np.ndarray, metric: ConformalMetricDescriptor, h: float | None,
+                   equation: str, datum: EinsteinDatum | None = None, a: float = 0.0, A: float = 0.0):
+    """(ok, the residual at the rows of X where lam is defined): Delta_g lam - a lam - A lam^3
+    for yamabe, the vectors of `_residual_vectors` for the 3rd-order equations."""
+    if equation == "yamabe":
+        ok, v, _, lap = _second_order(lam, X, metric, h)
+        return ok, lap - a * v - A * v**3
     if metric.kind != "flat" and datum.n != 4:
         raise UnsupportedDimensionError("curved-metric residuals are implemented for n = 4 only")
     ok, lam_jets, mu_jets = _grid_jets(lam, X, metric, h)
-    return ok, _residual_vectors(equation, lam_jets, mu_jets, datum.n, datum.a)
+    return ok, _residual_vectors(equation, lam_jets, _jet_terms(lam_jets, mu_jets), datum.n, datum.a)
 
 
-def _third_order_at(equation: str, lam: ScalarField4, datum: EinsteinDatum, x,
-                    metric: ConformalMetricDescriptor, h: float | None) -> np.ndarray:
+def _at_point(batched, lam: ScalarField4, x, *args) -> list:
+    """`batched(lam, X, *args)` at the single point x; DomainError where lam is not defined."""
     x = as_point(x)
-    ok, vec = _third_order(equation, lam, datum, x[None], metric, h)
+    ok, *out = batched(lam, x[None], *args)
     if not ok[0]:
         raise DomainError(f"field {lam.name or '<anonymous>'} is not defined around {x}")
-    return vec[0]
+    return [o[0] for o in out]
+
+
+def _tension(n: int, grad_sq):  # the codomain norm (n-2)|grad lam|_g of the tension field
+    return (n - 2) * np.sqrt(grad_sq)
 
 
 def biharmonic_residual(lam: ScalarField4, datum: EinsteinDatum, x,
@@ -159,7 +199,7 @@ def biharmonic_residual(lam: ScalarField4, datum: EinsteinDatum, x,
     """Vector residual of the 3rd-order biharmonicity equation at x.
 
     `h` is the stencil step of `fd_jets` for a field without a closed form."""
-    return _third_order_at("biharmonic", lam, datum, x, metric, h)
+    return _at_point(_residual_rows, lam, x, metric, h, "biharmonic", datum)[0]
 
 
 def einstein_form_residual(lam: ScalarField4, datum: EinsteinDatum, x,
@@ -168,32 +208,32 @@ def einstein_form_residual(lam: ScalarField4, datum: EinsteinDatum, x,
     """Vector residual of the integrated (gradient-form) equation at x.
 
     `h` is the stencil step of `fd_jets` for a field without a closed form."""
-    return _third_order_at("einstein_form", lam, datum, x, metric, h)
+    return _at_point(_residual_rows, lam, x, metric, h, "einstein_form", datum)[0]
 
 
 def yamabe_residual(lam: ScalarField4, a: float, A: float, x,
                     metric: ConformalMetricDescriptor = FLAT,
                     h: float = DEFAULT_FD_STEP) -> float:
     """Delta_g lam - a lam - A lam^3 at x."""
-    x = as_point(x)
-    lam.check_domain(x)
-    v = float(lam.value(x))
-    lap = _lap(lam, x, h) if metric.kind == "flat" else laplace_beltrami(lam, metric, x, h)
-    return lap - a * v - A * v**3
+    return float(_at_point(_residual_rows, lam, x, metric, h, "yamabe", None, a, A)[0])
 
 
 def estimate_A(lam: ScalarField4, a: float, samples: Sequence,
                metric: ConformalMetricDescriptor = FLAT, h: float = DEFAULT_FD_STEP) -> ConstantA:
     """Least-squares A from Delta lam - a lam = A lam^3 over sample points."""
-    pts = [as_point(p) for p in samples]
-    rhs = [yamabe_residual(lam, a, 0.0, p, metric=metric, h=h) for p in pts]
-    return _least_squares_A(np.asarray(rhs), np.asarray([float(lam.value(p)) ** 3 for p in pts]))
-
-
-def _least_squares_A(rhs: np.ndarray, cubes: np.ndarray) -> ConstantA:
-    """A minimising |rhs - A cubes|, with rhs = Delta lam - a lam and cubes = lam^3."""
-    if len(cubes) < 2:
+    if len(samples) < 2:
         raise ValueError("need at least two sample points")
+    ok, v, _, lap = _second_order(lam, np.array([as_point(p) for p in samples]), metric, h)
+    if not ok.all():
+        raise DomainError(f"field {lam.name or '<anonymous>'} is not defined at every sample")
+    return _least_squares_A(v, lap, a)
+
+
+def _least_squares_A(lam: np.ndarray, lap: np.ndarray, a: float) -> ConstantA:
+    """A minimising |Delta lam - a lam - A lam^3| over the samples."""
+    if len(lam) < 2:
+        raise ValueError("need at least two sample points")
+    rhs, cubes = lap - a * lam, lam**3
     denom = float(cubes @ cubes)
     if denom < 1e-14 * len(cubes):
         raise IllConditionedError("lam^3 vanishes at every sample; A is undetermined")
@@ -217,29 +257,18 @@ def curvature_law_residual(lam: ScalarField4, n: int, R_g: float, R_h, x,
     field on the codomain pulled back through the map).
     """
     x = as_point(x)
-    lam.check_domain(x)
-    v = float(lam.value(x))
+    v, gsq, lap = _at_point(_second_order, lam, x, metric, h)
     if v <= 0:
         raise DomainError("conformal factor must be positive")
-    lap = laplace_beltrami(lam, metric, x, h)
-    g = _grad(lam, x, h)
-    gsq = float(g @ g)
-    if metric.kind != "flat":
-        gsq /= metric.factor().value(x) ** 2
     rh = R_h(x) if callable(R_h) else float(R_h)
-    return 2.0 * (n - 1) * lap - v * R_g + v**3 * rh + (n - 1) * (n - 4) / v * gsq
+    return float(2.0 * (n - 1) * lap - v * R_g + v**3 * rh + (n - 1) * (n - 4) / v * gsq)
 
 
 def tension_norm(lam: ScalarField4, n: int, x,
                  metric: ConformalMetricDescriptor = FLAT,
                  h: float = DEFAULT_FD_STEP) -> float:
     """Codomain norm of the tension field, (n-2) lam |grad ln lam|_g = (n-2)|grad lam|/mu."""
-    x = as_point(x)
-    lam.check_domain(x)
-    nrm = float(np.linalg.norm(_grad(lam, x, h)))
-    if metric.kind != "flat":
-        nrm /= metric.factor().value(x)
-    return (n - 2) * nrm
+    return float(_tension(n, _at_point(_second_order, lam, x, metric, h)[1]))
 
 
 def aubin_condition(k: float, datum: EinsteinDatum) -> bool:
@@ -256,13 +285,9 @@ def isoparametric_residuals(lam: ScalarField4, datum: EinsteinDatum,
     |grad lam|^2 = 2/(n-4) (lam u'(lam) - 4 u(lam) + a lam^2)."""
     if datum.n == 4:
         raise UnsupportedDimensionError("dimension 4 reduces to the cubic equation, not a profile pair")
-    x = as_point(x)
-    lam.check_domain(x)
-    v = float(lam.value(x))
-    g = _grad(lam, x, h)
-    r1 = _lap(lam, x, h) - uprime(v)
-    r2 = float(g @ g) - 2.0 / (datum.n - 4) * (v * uprime(v) - 4.0 * u(v) + datum.a * v**2)
-    return r1, r2
+    v, gsq, lap = _at_point(_second_order, lam, x, FLAT, h)
+    return (float(lap - uprime(v)),
+            float(gsq - 2.0 / (datum.n - 4) * (v * uprime(v) - 4.0 * u(v) + datum.a * v**2)))
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +331,9 @@ def residual_report(equation: str, lam: ScalarField4, grid: np.ndarray, *,
     """Sweep a residual over a grid, collecting magnitudes into a report.
 
     Points where lam is not defined are counted as failed and excluded
-    from the norms: for yamabe those raising DomainError, for the 3rd-order
-    equations those `jets` marks (within the singular margin, some
-    q_i <= 0, or a difference stencil that fails).
+    from the norms: those within the singular margin, where some q_i <= 0,
+    or where a difference stencil fails.  A step `h` that is not finite and
+    positive raises ValueError.
     """
     params: dict = {"metric": metric.kind}
     if equation == "yamabe":
@@ -323,20 +348,9 @@ def residual_report(equation: str, lam: ScalarField4, grid: np.ndarray, *,
         raise ValueError(f"no grid sweep for equation {equation!r}")
     if h is not None:
         params["h"] = h
-    X = np.asarray(grid, dtype=float)
-    if equation == "yamabe":
-        mags = []
-        for p in X:
-            try:
-                mags.append(abs(yamabe_residual(lam, a, A, p, metric=metric, h=h or DEFAULT_FD_STEP)))
-            except DomainError:
-                pass
-        mags = np.asarray(mags)
-        n_failed = len(X) - mags.size
-    else:
-        ok, vecs = _third_order(equation, lam, datum, X, metric, h)
-        n_failed = int(np.count_nonzero(~ok))
-        mags = np.linalg.norm(vecs, axis=1)
+    ok, res = _residual_rows(lam, np.asarray(grid, dtype=float), metric, h, equation, datum, a, A)
+    mags = np.abs(res) if equation == "yamabe" else np.linalg.norm(res, axis=1)
+    n_failed = int(np.count_nonzero(~ok))
     if mags.size == 0:
         raise DomainError("every grid point fell in a singular neighbourhood")
     meta = dict(grid_meta or {})

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, determinism, config round trips."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -21,6 +22,7 @@ from biharm4.cli import (
     EXIT_TOLERANCE,
     EXIT_USAGE,
     RunConfig,
+    build_parser,
     main,
 )
 
@@ -168,6 +170,32 @@ def test_verify_counts_points_outside_the_poincare_ball_as_failed(tmp_path):
     rows = [list(map(float, r.split(","))) for r in csv.read_text().strip().splitlines()[1:]]
     assert len(rows) == rep["n_points"]
     assert all(np.linalg.norm(r[:4]) < 1.0 for r in rows)
+
+
+def _declared_options(cmd):
+    """Config key of every argument `cmd` declares, --config aside."""
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest.replace("_", "-") for a in subparsers.choices[cmd]._actions if a.dest not in ("help", "config")}
+
+
+@pytest.mark.parametrize("argv, report", [
+    (["verify", "--family", "bubble", "--equation", "yamabe", "--a", "0", "--A", "-2", "--alpha", "0.5",
+      "--delta", "1.5", "--x0", "0,0,0,0.5", "--points", "20", "--radius", "4", "--tolerance", "1e-5",
+      "--seed", "3", "--out", "r.json", "--csv", "p.csv"], "r.json"),
+    (["mobius-audit", "--transform", "eps=2 alpha=1.5 tin=1,0,0,0", "--pairing", "flat-flat",
+      "--all-pairings", "--random", "1", "--seed", "5", "--out", "r.json"], "r.json"),
+    (["solve", "radial", "--v0", "2", "--rmax", "10", "--k", "3", "--A", "0", "--init", "constant",
+      "-N", "200", "--tol", "1e-10", "--out", "r.json", "--csv", "p.csv"], "r.json"),
+    (["sweep", "s4-branch", "--ell", "2", "--k-from", "5.05", "--k-to", "5.2", "--steps", "3", "-N", "200",
+      "--tol", "1e-9", "--out", "b.jsonl", "--report", "r.json"], "r.json"),
+], ids=["verify", "mobius-audit", "solve", "sweep"])
+def test_every_option_reaches_the_report_config(argv, report, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == EXIT_OK
+    cfg = RunConfig.from_text(json.loads(Path(report).read_text())["config"])
+    assert cfg.command == argv[0]
+    assert set(cfg.options) == _declared_options(argv[0])
+    assert all(v in argv or (k, v) == ("all-pairings", "True") for k, v in cfg.options.items())
 
 
 def test_runconfig_round_trip():

@@ -317,11 +317,8 @@ def test_classify_evidence_matches_the_pointwise_functions(T, pairing):
         assert "fitted_A" not in ev
     else:
         fit = estimate_A(factor, 0.0, grid[:12])
-        # the inversion's A is exactly 0, and both fits are roundoff of the
-        # expanded |x - b|^2 near b (|A| below 7e-14 on 1500 random inversions)
-        inversion = pairing == "flat-flat" and T.eps == 2
-        assert _agrees(ev["fitted_A"], fit.value, 1e-13 if inversion else 1e-14)
-        assert _agrees(ev["fit_residual"], fit.fit_residual)
+        assert ev["fitted_A"] == fit.value
+        assert ev["fit_residual"] == fit.fit_residual
     if pairing == "sphere-sphere":
         values = [factor.value(p) for p in grid]
         assert _agrees(ev["factor_range"], max(values) - min(values))

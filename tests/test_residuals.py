@@ -1,6 +1,7 @@
 """Residual operators: the cubic reduction, the 3rd-order system, and the
 derived identities connecting them."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,9 @@ from biharm4.fields import (
     SingularLocus,
     constant_field,
     fd_gradient,
+    laplace_beltrami,
 )
+from biharm4.mobius import PAIRINGS, mobius_conformal_factor, random_transform
 from biharm4.residuals import (
     IllConditionedError,
     ResidualReport,
@@ -425,3 +428,66 @@ def test_residual_report_counts_domain_failures():
 def test_residual_report_validates_norm_ordering():
     with pytest.raises(ValueError):
         ResidualReport("yamabe", sup=1.0, rms=2.0, n_points=3, n_failed=0, params={}, grid={})
+
+
+def _yamabe_cases():
+    cases = []
+    for entry in solution_catalog():
+        cases.append(pytest.param(entry.field, entry.a, entry.A, entry.grid_radius, id=entry.name))
+        cases.append(pytest.param(perturbed(entry.field), entry.a, entry.A, entry.grid_radius,
+                                  id=f"perturbed {entry.name}"))
+    T = random_transform(np.random.default_rng(8), 2)
+    cases += [pytest.param(mobius_conformal_factor(T, p), 3.0, -1.0, 3.0, id=p) for p in PAIRINGS]
+    return cases
+
+
+def _counting(lam, calls):
+    """lam with evaluators that record each call; a closed form stays attached."""
+    def count(fn):
+        return None if fn is None else (lambda x: calls.append(x) or fn(x))
+    return dataclasses.replace(lam, value=count(lam.value), grad=count(lam.grad), hess=count(lam.hess))
+
+
+@pytest.mark.parametrize("metric", [ConformalMetricDescriptor.flat(), ConformalMetricDescriptor.spherical()],
+                         ids=["flat", "spherical"])
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "value-only"])
+@pytest.mark.parametrize("lam, a, A, radius", _yamabe_cases())
+def test_yamabe_report_rows_are_the_pointwise_residual(lam, a, A, radius, closed, metric):
+    # a closed-form factor reads its jets and calls no evaluator; any other
+    # field takes one stencil of 2n + 1 = 9 values per row, against 10 (flat)
+    # and 18 (spherical) for separate gradient and Laplacian differences
+    if not closed:
+        lam = ScalarField4(lam.value, singular_set=lam.singular_set, name="value-only")
+    calls = []
+    grid = standard_grid(40, radius, lam.singular_set)
+    rep = residual_report("yamabe", _counting(lam, calls), grid, a=a, A=A, metric=metric)
+    assert rep.n_failed == 0
+    assert len(calls) == (0 if closed else 9 * len(grid))
+    for x, got in zip(grid, rep.values):
+        assert got == abs(yamabe_residual(lam, a, A, x, metric=metric))
+        # the per-point operator of the fields module: the same to roundoff of its largest term
+        v = lam.value(x)
+        terms = (laplace_beltrami(lam, metric, x), a * v, A * v**3)
+        want = terms[0] - terms[1] - terms[2]
+        assert abs(got - abs(want)) <= max(1e-12 * max(map(abs, terms)), 1e-14)
+
+
+@pytest.mark.parametrize("equation", ["yamabe", "biharmonic", "einstein_form"])
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "value-only"])
+@pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf])
+def test_step_must_be_finite_and_positive(h, closed, equation):
+    lam = Bubble(4, 1.0, (0.0,) * 4).as_field()
+    if not closed:
+        lam = ScalarField4(lam.value)
+    grid = standard_grid(5, 5.0)
+    if equation == "yamabe":
+        report = lambda: residual_report("yamabe", lam, grid, a=0.0, A=-2.0, h=h)
+        point = lambda: yamabe_residual(lam, 0.0, -2.0, grid[0], h=h)
+    else:
+        report = lambda: residual_report(equation, lam, grid, datum=FLAT4, h=h)
+        point = lambda: (biharmonic_residual if equation == "biharmonic" else einstein_form_residual)(
+            lam, FLAT4, grid[0], h=h)
+    for call in (report, point):
+        with pytest.raises(ValueError, match="finite and positive"):
+            call()
+
