@@ -8,6 +8,7 @@ form, each a LogQuadratic with exact derivatives, and the constants
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field as dc_field
@@ -166,7 +167,7 @@ def sobolev_best_constant(n: int) -> float:
     """Best constant of the critical embedding, n(n-2)/4 * w^(2/n).
 
     The measured bubble quotient fixes the normalization w = volume of the
-    unit n-sphere (for n = 4 the quotient is 4*pi*sqrt(6)/3 = 10.2575...,
+    unit n-sphere (for n = 4 the quotient is 4*pi*sqrt(6)/3 = 10.2604...,
     which matches this convention and not the unit-ball one).
     """
     return n * (n - 2) / 4.0 * sphere_volume(n) ** (2.0 / n)
@@ -178,61 +179,61 @@ def sobolev_quotient(v: ScalarField4, n: int, center=None, r_max: float = 80.0,
     """(integral |grad v|^2) / (integral |v|^p)^(2/p) with p = 2n/(n-2).
 
     The radial method assumes v is radially symmetric about `center` and
-    integrates along a ray with the surface-area weight; the tensor method
-    uses a Gauss-Legendre product grid (coarse, for non-symmetric fields).
-    A tail beyond r_max contributing more than `tail_budget` of either
-    integral triggers an AccuracyWarning.
+    integrates along a ray with the surface-area weight, by a fixed rule:
+    12 Gauss-Legendre nodes on [0, r_max 2^-24] and on each panel
+    [r_max 2^j, r_max 2^(j+1)], j = -24..23, 588 in all, which gives the
+    bubble quotient to 4e-14 for widths 0.01 to 50.  A tail (the nodes
+    beyond r_max) above `tail_budget` of either integral triggers an
+    AccuracyWarning.  The tensor method uses a Gauss-Legendre product grid
+    on the cube of half-width `tensor_half_width` about `center` (coarse,
+    for non-symmetric fields).  A closed-form v is evaluated from one batch
+    of jets, any other v row by row from `value` and `grad`.
     """
+    if not n >= 3:
+        raise ValueError("the Sobolev quotient needs n >= 3")
+    if not (math.isfinite(r_max) and r_max > 0):
+        raise ValueError("r_max must be finite and positive")
+    if not (math.isfinite(tensor_half_width) and tensor_half_width > 0):
+        raise ValueError("tensor_half_width must be finite and positive")
+    if not tensor_nodes >= 1:
+        raise ValueError("tensor_nodes must be at least 1")
+    if not (math.isfinite(tail_budget) and tail_budget >= 0):
+        raise ValueError("tail_budget must be finite and non-negative")
     p = 2.0 * n / (n - 2.0)
     c = np.zeros(n) if center is None else as_point(center, n)
-
-    def grad_sq(x):
-        g = _grad(v, x)
-        return float(g @ g)
-
     if method == "radial":
-        from scipy.integrate import quad
-
-        e = np.zeros(n)
-        e[0] = 1.0
-        w = sphere_surface_area(n)
-
-        def num_integrand(r):
-            return w * r ** (n - 1) * grad_sq(c + r * e)
-
-        def den_integrand(r):
-            return w * r ** (n - 1) * abs(v.value(c + r * e)) ** p
-
-        num_main, _ = quad(num_integrand, 0.0, r_max, limit=200)
-        den_main, _ = quad(den_integrand, 0.0, r_max, limit=200)
-        num_tail, _ = quad(num_integrand, r_max, np.inf, limit=200)
-        den_tail, _ = quad(den_integrand, r_max, np.inf, limit=200)
-        num, den = num_main + num_tail, den_main + den_tail
+        t, w = np.polynomial.legendre.leggauss(12)
+        hi = r_max * 2.0 ** np.arange(-24, 25)
+        lo = np.concatenate([[0.0], hi[:-1]])
+        half = (hi - lo)[:, None] / 2.0
+        r = ((hi + lo)[:, None] / 2.0 + half * t).ravel()
+        X = c + r[:, None] * np.eye(n)[0]
+        W = (half * w).ravel() * sphere_surface_area(n) * r ** (n - 1)
+    elif method == "tensor":
+        t, w = np.polynomial.legendre.leggauss(tensor_nodes)
+        X = c + tensor_half_width * np.stack(np.meshgrid(*([t] * n), indexing="ij"), axis=-1).reshape(-1, n)
+        W = functools.reduce(np.multiply.outer, [tensor_half_width * w] * n).ravel()
+    else:
+        raise ValueError(f"unknown quadrature method {method!r}")
+    if v.closed_form is not None:
+        lam, g = v.closed_form.jets(X)[:2]
+        G = lam[:, None] * g
+    else:
+        lam, G = np.empty(len(X)), np.empty(X.shape)
+        for k, x in enumerate(X):
+            lam[k], G[k] = v.value(x), _grad(v, x)
+    terms = W * np.stack([np.einsum("ki,ki->k", G, G), np.abs(lam) ** p])
+    num, den = terms.sum(axis=1)
+    if method == "radial":
+        num_tail, den_tail = terms[:, r > r_max].sum(axis=1)
         if num_tail > tail_budget * num or den_tail > tail_budget * den:
             warnings.warn(
                 f"radial truncation at r_max={r_max} leaves a tail above {tail_budget:.0%} of the integral",
                 AccuracyWarning,
             )
-    elif method == "tensor":
-        nodes, weights = np.polynomial.legendre.leggauss(tensor_nodes)
-        nodes = nodes * tensor_half_width
-        weights = weights * tensor_half_width
-        num = den = 0.0
-        grids = np.meshgrid(*([nodes] * n), indexing="ij")
-        wgrids = np.meshgrid(*([weights] * n), indexing="ij")
-        W = np.ones_like(grids[0])
-        for wg in wgrids:
-            W = W * wg
-        pts = np.stack([g.ravel() for g in grids], axis=-1) + c
-        Wf = W.ravel()
-        for pt, wt in zip(pts, Wf):
-            num += wt * grad_sq(pt)
-            den += wt * abs(v.value(pt)) ** p
-    else:
-        raise ValueError(f"unknown quadrature method {method!r}")
     if den <= 0:
         raise ValueError("denominator integral vanished; field decays too fast or is zero")
-    return num / den ** (2.0 / p)
+    return float(num / den ** (2.0 / p))
 
 
 # ---------------------------------------------------------------------------

@@ -111,9 +111,10 @@ class LogQuadratic:
     `terms` holds one (M_i, w_i, c_i, p_i) per factor, M_i symmetric.  The
     class is closed under products and positive scaling.  Its domain is
     {q_i > 0 for every i}; evaluation anywhere else raises DomainError.
-    `value`, `grad` and `hess` evaluate lam at one point; `jets` gives
-    ln lam's exact gradient, Hessian and gradient of the Laplacian on a
-    batch of points, which is all the 3rd-order residuals need.
+    `jets` gives ln lam's exact gradient, Hessian and gradient of the
+    Laplacian on a batch of points, which is all the 3rd-order residuals
+    need; `grad` and `hess` are its one-row views and `value` evaluates lam
+    at one point.
     """
 
     C: float
@@ -142,8 +143,8 @@ class LogQuadratic:
         return ScalarField4(self.value, self.grad, self.hess, singular_set=singular_set,
                             name=name, closed_form=self)
 
-    # the single-point evaluators use ndarray.dot, which costs about half of
-    # `@` on 4-vectors; sobolev_quotient calls them per point
+    # ndarray.dot costs about half of `@` on 4-vectors, and `fd_jets` calls
+    # `value` at every stencil point
     def value(self, x) -> float:
         x = np.asarray(x, dtype=float)
         v = self.C
@@ -151,33 +152,15 @@ class LogQuadratic:
             v *= _positive(float(x.dot(M.dot(x) + w)) + c, x) ** p
         return v
 
-    def _at(self, x: np.ndarray):
-        """lam and, per term, (p/q, grad q, M, q) at one point."""
-        v, parts = self.C, []
-        for M, w, c, p in self.terms:
-            Mx = M.dot(x)
-            Mxw = Mx + w
-            q = _positive(float(x.dot(Mxw)) + c, x)
-            v *= q**p
-            parts.append((p / q, Mx + Mxw, M, q))
-        return v, parts
-
     def grad(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        v, parts = self._at(x)
-        g = np.zeros(x.shape)
-        for r, gq, _, _ in parts:
-            g += (v * r) * gq
-        return g
+        """lam grad ln lam, from a one-row `jets`."""
+        lam, g, _, _ = (j[0] for j in self.jets(np.asarray(x, dtype=float)[None]))
+        return lam * g
 
     def hess(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        v, parts = self._at(x)
-        g, H = np.zeros(x.shape), np.zeros((x.size, x.size))
-        for r, gq, M, q in parts:
-            g += r * gq
-            H += (2.0 * r) * M - (r / q) * (gq[:, None] * gq)
-        return v * (H + g[:, None] * g)
+        """lam (Hess ln lam + grad ln lam grad ln lam^T), from a one-row `jets`."""
+        lam, g, H, _ = (j[0] for j in self.jets(np.asarray(x, dtype=float)[None]))
+        return lam * (H + np.outer(g, g))
 
     def _quadratics(self, X: np.ndarray):
         """(M, p, q, grad q) per term at the rows of X."""

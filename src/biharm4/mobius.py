@@ -21,7 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
+    ConformalMetricDescriptor,
     DomainError,
+    EinsteinDatum,
     LogQuadratic,
     ScalarField4,
     as_point,
@@ -29,6 +31,7 @@ from .fields import (
     quadratic_term,
     radial_power_field,
 )
+from .residuals import _grid_jets, _jet_terms, _lam_terms, _least_squares_A, _residual_vectors, _tension, standard_grid
 
 PAIRINGS = ("flat-flat", "flat-sphere", "sphere-flat", "sphere-sphere")
 ORTHOGONALITY_TOL = 1e-12
@@ -246,10 +249,6 @@ def classify_mobius(T: MobiusTransform, pairing: str,
     sphere->sphere, and for flat-domain cases the cubic coefficient fitted
     on the first 12 grid points.
     """
-    from .fields import ConformalMetricDescriptor, EinsteinDatum
-    from .residuals import (_grid_jets, _jet_terms, _lam_terms, _least_squares_A, _residual_vectors, _tension,
-                            standard_grid)
-
     if pairing not in PAIRINGS:
         raise ValueError(f"unknown pairing {pairing!r}")
     factor = mobius_conformal_factor(T, pairing)

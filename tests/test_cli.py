@@ -117,8 +117,8 @@ def test_grid_too_large_to_allocate_is_usage_error(capsys):
 
 
 def test_commands_load_no_heavy_scipy_module(tmp_path):
-    # scipy.stats is only for scrambled grids, scipy.integrate only for radial
-    # Sobolev quotients; neither, nor scipy.special, may load on these paths
+    # scipy.stats is only for scrambled grids; it, scipy.integrate and
+    # scipy.special may not load on these paths, Sobolev quotients included
     script = f"""
 import sys
 import biharm4
@@ -129,6 +129,10 @@ out = {str(tmp_path)!r}
 for args in (["verify", "--family", "bubble"], ["mobius-audit", "--random", "2"], ["solve", "s4"]):
     main(args + ["--out", out + "/" + args[0] + ".json"])
     loaded.append([m for m in heavy if m in sys.modules])
+b = biharm4.Bubble(4, 1.0, (0.0,) * 4).as_field()
+biharm4.sobolev_quotient(b, 4)
+biharm4.sobolev_quotient(b, 4, method="tensor", tensor_nodes=2)
+loaded.append([m for m in heavy if m in sys.modules])
 print(loaded)
 """
     src = str(Path(biharm4.__file__).resolve().parents[1])
@@ -136,7 +140,7 @@ print(loaded)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[[], [], [], []]"
+    assert proc.stdout.strip().splitlines()[-1] == "[[], [], [], [], []]"
     assert (tmp_path / "verify.json").exists() and (tmp_path / "solve.json").exists()
 
 

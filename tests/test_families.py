@@ -119,6 +119,48 @@ def test_truncation_warning_when_tail_matters():
         sobolev_quotient(b, 4, r_max=2.0)
 
 
+@pytest.mark.parametrize("delta", [0.01, 0.1, 1.0, 10.0, 50.0])
+def test_radial_rule_across_widths(delta):
+    # the fixed 588-node ray rule against the exact quotient, off the origin;
+    # at r_max = 80 the tail of the wide bubbles exceeds 1 % and must warn
+    x0 = (0.3, -0.2, 0.7, 0.1)
+    b = Bubble(4, delta, x0).as_field()
+    plain = ScalarField4(b.value, b.grad)  # no closed_form: the evaluator branch
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        q = sobolev_quotient(b, 4, center=x0)
+        q_plain = sobolev_quotient(plain, 4, center=x0)
+    assert sum(issubclass(w.category, AccuracyWarning) for w in caught) == (2 if delta > 1.0 else 0)
+    assert q == pytest.approx(BUBBLE_QUOTIENT_4D, rel=1e-10)
+    assert q_plain == pytest.approx(q, rel=1e-12)
+    tensor = dict(center=x0, method="tensor", tensor_nodes=6, tensor_half_width=3.0 * delta)
+    assert sobolev_quotient(plain, 4, **tensor) == pytest.approx(sobolev_quotient(b, 4, **tensor), rel=1e-12)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(n=2),
+    dict(n=1),
+    dict(r_max=0.0),
+    dict(r_max=-1.0),
+    dict(r_max=math.inf),
+    dict(r_max=math.nan),
+    dict(tensor_half_width=0.0, method="tensor"),
+    dict(tensor_half_width=-1.0, method="tensor"),
+    dict(tensor_half_width=math.nan, method="tensor"),
+    dict(tensor_half_width=math.inf, method="tensor"),
+    dict(tensor_nodes=0, method="tensor"),
+    dict(tensor_nodes=-3, method="tensor"),
+    dict(tail_budget=math.nan),
+    dict(tail_budget=math.inf),
+    dict(tail_budget=-0.01),
+    dict(method="simpson"),
+])
+def test_sobolev_quotient_rejects_bad_input(kwargs):
+    b = Bubble(4, 1.0, (0.0,) * 4).as_field()
+    with pytest.raises(ValueError):
+        sobolev_quotient(b, **{"n": 4, **kwargs})
+
+
 def test_sphere_surface_area_values():
     assert sphere_surface_area(4) == pytest.approx(2.0 * math.pi**2)
     assert sphere_surface_area(3) == pytest.approx(4.0 * math.pi)
