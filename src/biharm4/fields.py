@@ -5,15 +5,17 @@ negative spectrum.  For a conformal metric g = mu^2 dx^2 in dimension 4,
 
     Delta_g f = mu^-2 (Delta f + 2 <grad ln mu, grad f>).
 
-Evaluators are plain callables of a coordinate vector; everything here is
-dimension-agnostic except the curved-metric identity, which is hard-coded
-for dimension 4 (the only dimension where curved evaluation is needed).
-
 Every closed-form conformal factor of the package is a LogQuadratic,
 C * prod_i q_i(x)^p_i with each q_i quadratic; a field built from one
 carries it as `closed_form`, which gives exact jets of ln lam on a batch of
 points.  Any other field gets the same jets from one 41-point stencil of
 central differences (`fd_jets`); `jets` picks whichever applies.
+
+`_second_order` gives lam, grad lam, |grad lam|_g^2 and Delta_g lam on a
+batch: from those exact jets for a closed form, else per row from the
+field's `grad`/`hess` and one (2n+1)-point central stencil (`_central`)
+for what it lacks; the per-point operators are its one-row views.  Only
+the curved metric is restricted to dimension 4.
 """
 
 from __future__ import annotations
@@ -33,6 +35,16 @@ SINGULAR_EXCLUSION = 1e-9
 
 class DomainError(ValueError):
     """Evaluation requested at (or too close to) a singular point."""
+
+
+class UnsupportedDimensionError(ValueError):
+    """Operation stated only for certain dimensions."""
+
+
+def _step(h: float | None, default: float) -> float:
+    if h is not None and not (math.isfinite(h) and h > 0):
+        raise ValueError(f"difference step h must be finite and positive, got {h}")
+    return default if h is None else h
 
 
 def as_point(x, dim: int | None = None) -> np.ndarray:
@@ -197,51 +209,28 @@ class LogQuadratic:
         return lam, g, H, gL
 
 
+@functools.lru_cache
+def _axis_offsets(n: int) -> np.ndarray:
+    """The points of `_central` in units of the step: the centre, then +e_i, then -e_i."""
+    return np.concatenate([np.zeros((1, n)), np.eye(n), -np.eye(n)])
+
+
+def _central(value: Callable[[np.ndarray], float], x: np.ndarray, h: float):
+    """(f, grad f, Delta f) at x by O(h^2) central differences of `value` on
+    one stencil of 2n + 1 points: the centre and +-h on each axis."""
+    f = np.array([value(y) for y in x + h * _axis_offsets(x.size)], dtype=float)
+    fp, fm = f[1:].reshape(2, -1)
+    return f[0], (fp - fm) / (2.0 * h), float(np.sum(fp - 2.0 * f[0] + fm)) / h**2
+
+
 def fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray, h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Central-difference gradient, O(h^2)."""
-    x = np.asarray(x, dtype=float)
-    g = np.empty_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (f(x + e) - f(x - e)) / (2.0 * h)
-    return g
+    return _central(f, np.asarray(x, dtype=float), _step(h, DEFAULT_FD_STEP))[1]
 
 
 def fd_laplacian(f: Callable[[np.ndarray], float], x: np.ndarray, h: float = DEFAULT_FD_STEP) -> float:
     """Central-difference Laplacian (trace of the Hessian), O(h^2)."""
-    x = np.asarray(x, dtype=float)
-    fc = f(x)
-    acc = 0.0
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        acc += f(x + e) - 2.0 * fc + f(x - e)
-    return float(acc / h**2)
-
-
-# the analytic-or-difference choice of the per-point operators; x must
-# already be a validated point in f's domain
-def _grad(f: ScalarField4, x: np.ndarray, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    return np.asarray(f.grad(x), dtype=float) if f.grad is not None else fd_gradient(f.value, x, h)
-
-
-def _lap(f: ScalarField4, x: np.ndarray, h: float = DEFAULT_FD_STEP) -> float:
-    return float(np.trace(f.hess(x))) if f.hess is not None else fd_laplacian(f.value, x, h)
-
-
-def gradient(f: ScalarField4, x, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Gradient of f at x: its `grad` evaluator, else central differences at step h."""
-    x = as_point(x)
-    f.check_domain(x)
-    return _grad(f, x, h)
-
-
-def laplacian_flat(f: ScalarField4, x, h: float = DEFAULT_FD_STEP) -> float:
-    """Flat Laplacian of f at x: trace of its `hess` evaluator, else central differences."""
-    x = as_point(x)
-    f.check_domain(x)
-    return _lap(f, x, h)
+    return _central(f, np.asarray(x, dtype=float), _step(h, DEFAULT_FD_STEP))[2]
 
 
 @functools.lru_cache
@@ -384,21 +373,85 @@ class ConformalMetricDescriptor:
 FLAT = ConformalMetricDescriptor.flat()
 
 
+def _jet_terms(lam_jets, mu_jets):
+    """(e, grad m, Hess m, s, L) from the jets of u = ln lam and m = ln mu (None if flat),
+    with e = mu^-2, s = |grad u|^2, L = Delta u + 2 <grad m, grad u>: Delta_g u = e L."""
+    lam, gu, Hu, _ = lam_jets
+    mu, gm, Hm, _ = (np.ones(len(lam)), np.zeros_like(gu), np.zeros_like(Hu), None) if mu_jets is None else mu_jets
+    e = mu**-2.0
+    s, gmu = np.einsum("ki,ki->k", gu, gu)[:, None], np.einsum("ki,ki->k", gm, gu)[:, None]
+    return e[:, None], gm, Hm, s, np.trace(Hu, axis1=1, axis2=2)[:, None] + 2.0 * gmu
+
+
+def _lam_terms(lam_jets, terms):
+    """(lam, grad lam, |grad lam|_g^2, Delta_g lam) from the jets of ln lam and
+    their `_jet_terms`: lam grad u, e lam^2 s and e lam (L + s)."""
+    lam, gu = lam_jets[:2]
+    e, _, _, s, L = terms
+    return lam, lam[:, None] * gu, (e * s)[:, 0] * lam**2, (e * (L + s))[:, 0] * lam
+
+
+def _grid_jets(lam: ScalarField4, X: np.ndarray, metric: ConformalMetricDescriptor, h: float | None = None):
+    """(ok, jets of ln lam, their `_jet_terms` with the exact jets of ln mu) at the rows where lam is defined."""
+    ok, lam_jets = jets(lam, X, _step(h, FD_JET_STEP))
+    mu_jets = None if metric.kind == "flat" else metric.factor().closed_form.jets(X[ok])
+    return ok, lam_jets, _jet_terms(lam_jets, mu_jets)
+
+
+def _second_order(f: ScalarField4, X: np.ndarray, metric: ConformalMetricDescriptor, h: float | None = None):
+    """(ok, lam, grad lam, |grad lam|_g^2, Delta_g lam) at the rows of X where lam = f is
+    defined: exact jets for a closed-form f, else per row its `grad`/`hess` where it has
+    them and one `_central` stencil at step h where not.  mu is always exact."""
+    h = _step(h, DEFAULT_FD_STEP)
+    if metric.kind != "flat" and X.shape[1] != 4:
+        raise UnsupportedDimensionError("curved-metric operators are implemented for n = 4 only")
+    if f.closed_form is not None:
+        ok, lam_jets, terms = _grid_jets(f, X, metric)
+        return (ok, *_lam_terms(lam_jets, terms))
+    analytic = f.grad is not None and f.hess is not None
+    ok, v, G, lap = np.zeros(len(X), dtype=bool), np.zeros(len(X)), np.zeros(X.shape), np.zeros(len(X))
+    for k, x in enumerate(X):
+        try:
+            f.check_domain(x)
+            v[k], G[k], lap[k] = (f.value(x), 0.0, 0.0) if analytic else _central(f.value, x, h)
+            if f.grad is not None:
+                G[k] = f.grad(x)
+            if f.hess is not None:
+                lap[k] = np.trace(f.hess(x))
+            ok[k] = True
+        except DomainError:
+            pass
+    G = G[ok]
+    mu, gm = (1.0, np.zeros_like(G)) if metric.kind == "flat" else metric.factor().closed_form.jets(X[ok])[:2]
+    return ok, v[ok], G, np.einsum("ki,ki->k", G, G) / mu**2, (lap[ok] + 2.0 * np.einsum("ki,ki->k", gm, G)) / mu**2
+
+
+def _at_point(batched, lam: ScalarField4, x, *args) -> list:
+    """`batched(lam, X, *args)` at the single point x; DomainError where lam is not defined."""
+    x = as_point(x)
+    ok, *out = batched(lam, x[None], *args)
+    if not ok[0]:
+        raise DomainError(f"field {lam.name or '<anonymous>'} is not defined around {x}")
+    return [o[0] for o in out]
+
+
+def gradient(f: ScalarField4, x, h: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """Gradient of f at x: exact for a closed form, else its `grad` evaluator or central differences."""
+    return _at_point(_second_order, f, x, FLAT, h)[1]
+
+
+def laplacian_flat(f: ScalarField4, x, h: float = DEFAULT_FD_STEP) -> float:
+    """Flat Laplacian of f at x: exact for a closed form, else the trace of `hess` or central differences."""
+    return float(_at_point(_second_order, f, x, FLAT, h)[3])
+
+
 def laplace_beltrami(f: ScalarField4, g: ConformalMetricDescriptor, x, h: float = DEFAULT_FD_STEP) -> float:
     """Laplace-Beltrami of f for g = mu^2 dx^2 in dimension 4.
 
-    Uses f's `grad`/`hess` evaluators where it has them and central
-    differences otherwise; mu's gradient is always exact.
+    Exact for a closed form, else from f's `grad`/`hess` evaluators where
+    it has them and central differences otherwise; mu is always exact.
     """
-    x = as_point(x)
-    f.check_domain(x)
-    if g.kind == "flat":
-        return _lap(f, x, h)
-    if x.size != 4:
-        raise ValueError("curved-metric Laplacian is implemented for dimension 4 only")
-    mu = g.factor()
-    m = float(mu.value(x))
-    return (_lap(f, x, h) + 2.0 * float(mu.grad(x) @ _grad(f, x, h)) / m) / m**2
+    return float(_at_point(_second_order, f, x, g, h)[3])
 
 
 @dataclass(frozen=True)
@@ -416,13 +469,11 @@ class FdDiscrepancy:
 
 def fd_consistency(f: ScalarField4, x, h: float = DEFAULT_FD_STEP) -> FdDiscrepancy:
     """Max discrepancy between f's analytic and fd gradient / Laplacian at x."""
-    x = as_point(x)
-    f.check_domain(x)
+    _, G, _, lap = _at_point(_second_order, f, x, FLAT, h)
     if f.grad is None or f.hess is None:
         raise ValueError(f"field {f.name or '<anonymous>'} has no analytic grad and hess to check")
-    ge = float(np.max(np.abs(np.asarray(f.grad(x), dtype=float) - fd_gradient(f.value, x, h))))
-    le = abs(float(np.trace(f.hess(x))) - fd_laplacian(f.value, x, h))
-    return FdDiscrepancy(ge, le, h)
+    _, fd_G, fd_lap = _central(f.value, as_point(x), h)
+    return FdDiscrepancy(float(np.max(np.abs(G - fd_G))), float(abs(lap - fd_lap)), h)
 
 
 def constant_field(c: float) -> ScalarField4:

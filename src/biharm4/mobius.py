@@ -26,12 +26,14 @@ from .fields import (
     EinsteinDatum,
     LogQuadratic,
     ScalarField4,
+    _grid_jets,
+    _lam_terms,
     as_point,
     constant_field,
     quadratic_term,
     radial_power_field,
 )
-from .residuals import _grid_jets, _jet_terms, _lam_terms, _least_squares_A, _residual_vectors, _tension, standard_grid
+from .residuals import _least_squares_A, _residual_vectors, _tension, standard_grid
 
 PAIRINGS = ("flat-flat", "flat-sphere", "sphere-flat", "sphere-sphere")
 ORTHOGONALITY_TOL = 1e-12
@@ -259,10 +261,9 @@ def classify_mobius(T: MobiusTransform, pairing: str,
     grid = standard_grid(n_points, radius, factor.singular_set, seed=seed)
 
     # the grid keeps off the singular set, so the factor is defined at every row
-    _, lam_jets, mu_jets = _grid_jets(factor, grid, metric)
-    terms = _jet_terms(lam_jets, mu_jets)
+    _, lam_jets, terms = _grid_jets(factor, grid, metric)
     bh = _residual_vectors("biharmonic", lam_jets, terms, datum.n, datum.a)
-    lam, grad_sq, lap = _lam_terms(lam_jets[0], terms)
+    lam, _, grad_sq, lap = _lam_terms(lam_jets, terms)
     evidence = {"biharmonic_residual_sup": float(np.max(np.linalg.norm(bh, axis=1))),
                 "tension_sup": float(np.max(_tension(datum.n, grad_sq))),
                 "einstein_a": datum.a, "grid_radius": radius, "n_points": int(len(grid))}

@@ -22,8 +22,8 @@ LogQuadratic, so residuals of true solutions vanish to roundoff, and from
 a 41-point central-difference stencil at step 1e-3 for any other field:
 good to about 1e-4 for the biharmonic residual, but the einstein form
 carries lam^2 and can miss by more where lam is large.  mu is always
-exact.  The 2nd-order residuals need only lam, |grad lam|_g and Delta_g lam:
-the same exact jets, else the field's `grad`/`hess` or central differences.
+exact.  The 2nd-order residuals need only lam, |grad lam|_g and Delta_g lam,
+and take them in one batch from `fields._second_order`.
 """
 
 from __future__ import annotations
@@ -37,14 +37,16 @@ import numpy as np
 from . import qmc
 from .fields import (
     DEFAULT_FD_STEP,
-    FD_JET_STEP,
     FLAT,
     ConformalMetricDescriptor,
     DomainError,
     EinsteinDatum,
     ScalarField4,
+    UnsupportedDimensionError,
+    _at_point,
+    _grid_jets,
+    _second_order,
     as_point,
-    jets,
 )
 
 GRID_EXCLUSION = 0.05
@@ -54,10 +56,6 @@ EQUATIONS = ("yamabe", "biharmonic", "einstein_form", "curvature_law", "isoparam
 
 class IllConditionedError(ValueError):
     """Least-squares fit has no usable normal equation."""
-
-
-class UnsupportedDimensionError(ValueError):
-    """Operation stated only for certain dimensions."""
 
 
 @dataclass(frozen=True)
@@ -88,22 +86,6 @@ class ResidualReport:
             raise ValueError("per-point magnitudes must match the successful point count")
 
 
-def _jet_terms(lam_jets, mu_jets):
-    """(e, grad m, Hess m, s, L) from the jets of u = ln lam and m = ln mu (None if flat),
-    with e = mu^-2, s = |grad u|^2, L = Delta u + 2 <grad m, grad u>: Delta_g u = e L."""
-    lam, gu, Hu, _ = lam_jets
-    mu, gm, Hm, _ = (np.ones(len(lam)), np.zeros_like(gu), np.zeros_like(Hu), None) if mu_jets is None else mu_jets
-    e = mu**-2.0
-    s, gmu = np.einsum("ki,ki->k", gu, gu)[:, None], np.einsum("ki,ki->k", gm, gu)[:, None]
-    return e[:, None], gm, Hm, s, np.trace(Hu, axis1=1, axis2=2)[:, None] + 2.0 * gmu
-
-
-def _lam_terms(lam: np.ndarray, terms):
-    """(lam, |grad lam|_g^2, Delta_g lam) from the `_jet_terms`: e lam^2 s and e lam (L + s)."""
-    e, _, _, s, L = terms
-    return lam, (e * s)[:, 0] * lam**2, (e * (L + s))[:, 0] * lam
-
-
 def _residual_vectors(equation: str, lam_jets, terms, n: int, a: float) -> np.ndarray:
     """Biharmonic or einstein_form residual vectors from the jets of ln lam
     and their `_jet_terms` at a batch of points; grad e = -2 e grad m."""
@@ -127,66 +109,17 @@ def _residual_vectors(equation: str, lam_jets, terms, n: int, a: float) -> np.nd
     return vec * e
 
 
-def _step(h: float | None, default: float) -> float:
-    if h is not None and not (math.isfinite(h) and h > 0):
-        raise ValueError(f"difference step h must be finite and positive, got {h}")
-    return default if h is None else h
-
-
-def _grid_jets(lam: ScalarField4, X: np.ndarray, metric: ConformalMetricDescriptor, h: float | None = None):
-    """(ok, jets of ln lam, exact jets of ln mu or None if flat) at the rows where lam is defined."""
-    ok, lam_jets = jets(lam, X, _step(h, FD_JET_STEP))
-    return ok, lam_jets, None if metric.kind == "flat" else metric.factor().closed_form.jets(X[ok])
-
-
-def _second_order(lam: ScalarField4, X: np.ndarray, metric: ConformalMetricDescriptor, h: float | None = None):
-    """(ok, lam, |grad lam|_g^2, Delta_g lam) at the rows of X where lam is defined: exact
-    jets for a closed-form lam, else per row its `grad`/`hess` where it has them and O(h^2)
-    central differences on the centre and +-h on each axis (2n + 1 values) where not."""
-    h = _step(h, DEFAULT_FD_STEP)
-    if metric.kind != "flat" and X.shape[1] != 4:
-        raise UnsupportedDimensionError("curved-metric residuals are implemented for n = 4 only")
-    if lam.closed_form is not None:
-        ok, lam_jets, mu_jets = _grid_jets(lam, X, metric)
-        return (ok, *_lam_terms(lam_jets[0], _jet_terms(lam_jets, mu_jets)))
-    E = h * np.eye(X.shape[1])
-    ok, v, G, lap = np.zeros(len(X), dtype=bool), np.zeros(len(X)), np.zeros(X.shape), np.zeros(len(X))
-    for k, x in enumerate(X):
-        try:
-            lam.check_domain(x)
-            stencil = [x] if lam.grad is not None and lam.hess is not None else [x, *(x + E), *(x - E)]
-            f = np.array([lam.value(y) for y in stencil], dtype=float)
-            v[k], (fp, fm) = f[0], np.split(f[1:], 2)
-            G[k] = lam.grad(x) if lam.grad is not None else (fp - fm) / (2.0 * h)
-            lap[k] = np.trace(lam.hess(x)) if lam.hess is not None else np.sum(fp - 2.0 * v[k] + fm) / h**2
-            ok[k] = True
-        except DomainError:
-            pass
-    G = G[ok]
-    mu, gm = (1.0, np.zeros_like(G)) if metric.kind == "flat" else metric.factor().closed_form.jets(X[ok])[:2]
-    return ok, v[ok], np.einsum("ki,ki->k", G, G) / mu**2, (lap[ok] + 2.0 * np.einsum("ki,ki->k", gm, G)) / mu**2
-
-
 def _residual_rows(lam: ScalarField4, X: np.ndarray, metric: ConformalMetricDescriptor, h: float | None,
                    equation: str, datum: EinsteinDatum | None = None, a: float = 0.0, A: float = 0.0):
     """(ok, the residual at the rows of X where lam is defined): Delta_g lam - a lam - A lam^3
     for yamabe, the vectors of `_residual_vectors` for the 3rd-order equations."""
     if equation == "yamabe":
-        ok, v, _, lap = _second_order(lam, X, metric, h)
+        ok, v, _, _, lap = _second_order(lam, X, metric, h)
         return ok, lap - a * v - A * v**3
     if metric.kind != "flat" and datum.n != 4:
         raise UnsupportedDimensionError("curved-metric residuals are implemented for n = 4 only")
-    ok, lam_jets, mu_jets = _grid_jets(lam, X, metric, h)
-    return ok, _residual_vectors(equation, lam_jets, _jet_terms(lam_jets, mu_jets), datum.n, datum.a)
-
-
-def _at_point(batched, lam: ScalarField4, x, *args) -> list:
-    """`batched(lam, X, *args)` at the single point x; DomainError where lam is not defined."""
-    x = as_point(x)
-    ok, *out = batched(lam, x[None], *args)
-    if not ok[0]:
-        raise DomainError(f"field {lam.name or '<anonymous>'} is not defined around {x}")
-    return [o[0] for o in out]
+    ok, lam_jets, terms = _grid_jets(lam, X, metric, h)
+    return ok, _residual_vectors(equation, lam_jets, terms, datum.n, datum.a)
 
 
 def _tension(n: int, grad_sq):  # the codomain norm (n-2)|grad lam|_g of the tension field
@@ -223,7 +156,7 @@ def estimate_A(lam: ScalarField4, a: float, samples: Sequence,
     """Least-squares A from Delta lam - a lam = A lam^3 over sample points."""
     if len(samples) < 2:
         raise ValueError("need at least two sample points")
-    ok, v, _, lap = _second_order(lam, np.array([as_point(p) for p in samples]), metric, h)
+    ok, v, _, _, lap = _second_order(lam, np.array([as_point(p) for p in samples]), metric, h)
     if not ok.all():
         raise DomainError(f"field {lam.name or '<anonymous>'} is not defined at every sample")
     return _least_squares_A(v, lap, a)
@@ -257,7 +190,7 @@ def curvature_law_residual(lam: ScalarField4, n: int, R_g: float, R_h, x,
     field on the codomain pulled back through the map).
     """
     x = as_point(x)
-    v, gsq, lap = _at_point(_second_order, lam, x, metric, h)
+    v, _, gsq, lap = _at_point(_second_order, lam, x, metric, h)
     if v <= 0:
         raise DomainError("conformal factor must be positive")
     rh = R_h(x) if callable(R_h) else float(R_h)
@@ -268,7 +201,7 @@ def tension_norm(lam: ScalarField4, n: int, x,
                  metric: ConformalMetricDescriptor = FLAT,
                  h: float = DEFAULT_FD_STEP) -> float:
     """Codomain norm of the tension field, (n-2) lam |grad ln lam|_g = (n-2)|grad lam|/mu."""
-    return float(_tension(n, _at_point(_second_order, lam, x, metric, h)[1]))
+    return float(_tension(n, _at_point(_second_order, lam, x, metric, h)[2]))
 
 
 def aubin_condition(k: float, datum: EinsteinDatum) -> bool:
@@ -285,7 +218,7 @@ def isoparametric_residuals(lam: ScalarField4, datum: EinsteinDatum,
     |grad lam|^2 = 2/(n-4) (lam u'(lam) - 4 u(lam) + a lam^2)."""
     if datum.n == 4:
         raise UnsupportedDimensionError("dimension 4 reduces to the cubic equation, not a profile pair")
-    v, gsq, lap = _at_point(_second_order, lam, x, FLAT, h)
+    v, _, gsq, lap = _at_point(_second_order, lam, x, FLAT, h)
     return (float(lap - uprime(v)),
             float(gsq - 2.0 / (datum.n - 4) * (v * uprime(v) - 4.0 * u(v) + datum.a * v**2)))
 

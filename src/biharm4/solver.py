@@ -266,17 +266,6 @@ def _s4_jacobian_banded(u: np.ndarray, k: float) -> np.ndarray:
     return ab
 
 
-def _s4_dense_jacobian(u: np.ndarray, k: float) -> np.ndarray:
-    ab = _s4_jacobian_banded(u, k)
-    N = u.size - 1
-    J = np.zeros((N + 1, N + 1))
-    idx = np.arange(N + 1)
-    J[idx, idx] = ab[1, idx]
-    J[idx[:-1], idx[:-1] + 1] = ab[0, 1:]
-    J[idx[1:], idx[1:] - 1] = ab[2, :-1]
-    return J
-
-
 def _mode_index(ell) -> int:
     try:
         ell = operator.index(ell)
@@ -302,12 +291,6 @@ def bifurcation_points(ell: int) -> float:
     gives -Delta w = 2k w, so 2k must hit the eigenvalue ell(ell+3)."""
     ell = _mode_index(ell)
     return ell * (ell + 3) / 2.0
-
-
-def jacobian_smallest_singular_value(k: float, N: int = 400) -> float:
-    u = np.full(N + 1, math.sqrt(k))
-    J = _s4_dense_jacobian(u, k)
-    return float(np.linalg.svd(J, compute_uv=False)[-1])
 
 
 def _det_is_negative(diag: np.ndarray, offprod: np.ndarray, ks: np.ndarray) -> np.ndarray:

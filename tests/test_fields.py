@@ -195,12 +195,14 @@ def test_laplace_beltrami_matches_divergence_form_oracle():
     sph = ConformalMetricDescriptor.spherical()
     muv = lambda y: 2.0 / (1.0 + float(y @ y))
     f = Bubble(4, 1.3, (0.1, 0.2, -0.3, 0.0)).as_field()
-    rng = np.random.default_rng(8)
-    for _ in range(6):
-        x = rng.uniform(-1.5, 1.5, 4)
-        got = laplace_beltrami(f, sph, x)
-        want = _divergence_form_oracle(f.value, muv, x, 1e-4)
-        assert got == pytest.approx(want, abs=5e-7)
+    # the exact jets, and the evaluator and stencil rows of copies without a closed form
+    for lam in (f, ScalarField4(f.value, f.grad), ScalarField4(f.value)):
+        rng = np.random.default_rng(8)
+        for _ in range(6):
+            x = rng.uniform(-1.5, 1.5, 4)
+            got = laplace_beltrami(lam, sph, x)
+            want = _divergence_form_oracle(f.value, muv, x, 1e-4)
+            assert got == pytest.approx(want, abs=5e-7)
     # the oracle itself is 2nd order: halving h quarters its drift
     x = np.array([0.4, -0.3, 0.2, 0.6])
     exact = laplace_beltrami(f, sph, x)

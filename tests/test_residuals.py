@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import qmc
 
-from biharm4.families import Bubble, classical_example, perturbed, solution_catalog
+from biharm4.families import Bubble, classical_example, perturbed, sobolev_quotient, solution_catalog
 from biharm4.fields import (
     ConformalMetricDescriptor,
     DomainError,
@@ -16,8 +16,12 @@ from biharm4.fields import (
     ScalarField4,
     SingularLocus,
     constant_field,
+    fd_consistency,
     fd_gradient,
+    fd_laplacian,
+    gradient,
     laplace_beltrami,
+    laplacian_flat,
 )
 from biharm4.mobius import PAIRINGS, mobius_conformal_factor, random_transform
 from biharm4.residuals import (
@@ -442,10 +446,11 @@ def _yamabe_cases():
 
 
 def _counting(lam, calls):
-    """lam with evaluators that record each call; a closed form stays attached."""
-    def count(fn):
-        return None if fn is None else (lambda x: calls.append(x) or fn(x))
-    return dataclasses.replace(lam, value=count(lam.value), grad=count(lam.grad), hess=count(lam.hess))
+    """lam with evaluators that record the name of each one called; a closed form stays attached."""
+    def count(slot, fn):
+        return None if fn is None else (lambda x: calls.append(slot) or fn(x))
+    return dataclasses.replace(lam, value=count("value", lam.value), grad=count("grad", lam.grad),
+                               hess=count("hess", lam.hess))
 
 
 @pytest.mark.parametrize("metric", [ConformalMetricDescriptor.flat(), ConformalMetricDescriptor.spherical()],
@@ -472,7 +477,18 @@ def test_yamabe_report_rows_are_the_pointwise_residual(lam, a, A, radius, closed
         assert abs(got - abs(want)) <= max(1e-12 * max(map(abs, terms)), 1e-14)
 
 
-@pytest.mark.parametrize("equation", ["yamabe", "biharmonic", "einstein_form"])
+# the per-point operators of the fields module, at the point x with step h
+_POINT_OPERATORS = {
+    "gradient": gradient,
+    "laplacian_flat": laplacian_flat,
+    "laplace_beltrami": lambda lam, x, h: laplace_beltrami(lam, ConformalMetricDescriptor.spherical(), x, h),
+    "fd_consistency": fd_consistency,
+    "fd_gradient": lambda lam, x, h: fd_gradient(lam.value, x, h),
+    "fd_laplacian": lambda lam, x, h: fd_laplacian(lam.value, x, h),
+}
+
+
+@pytest.mark.parametrize("equation", ["yamabe", "biharmonic", "einstein_form", *_POINT_OPERATORS])
 @pytest.mark.parametrize("closed", [True, False], ids=["closed", "value-only"])
 @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf])
 def test_step_must_be_finite_and_positive(h, closed, equation):
@@ -480,14 +496,36 @@ def test_step_must_be_finite_and_positive(h, closed, equation):
     if not closed:
         lam = ScalarField4(lam.value)
     grid = standard_grid(5, 5.0)
-    if equation == "yamabe":
-        report = lambda: residual_report("yamabe", lam, grid, a=0.0, A=-2.0, h=h)
-        point = lambda: yamabe_residual(lam, 0.0, -2.0, grid[0], h=h)
+    if equation in _POINT_OPERATORS:
+        calls = (lambda: _POINT_OPERATORS[equation](lam, grid[0], h),)
+    elif equation == "yamabe":
+        calls = (lambda: residual_report("yamabe", lam, grid, a=0.0, A=-2.0, h=h),
+                 lambda: yamabe_residual(lam, 0.0, -2.0, grid[0], h=h))
     else:
-        report = lambda: residual_report(equation, lam, grid, datum=FLAT4, h=h)
-        point = lambda: (biharmonic_residual if equation == "biharmonic" else einstein_form_residual)(
-            lam, FLAT4, grid[0], h=h)
-    for call in (report, point):
+        calls = (lambda: residual_report(equation, lam, grid, datum=FLAT4, h=h),
+                 lambda: (biharmonic_residual if equation == "biharmonic" else einstein_form_residual)(
+                     lam, FLAT4, grid[0], h=h))
+    for call in calls:
         with pytest.raises(ValueError, match="finite and positive"):
             call()
+
+
+@pytest.mark.parametrize("operator", ["sobolev.radial", "sobolev.tensor", "gradient", "laplacian_flat",
+                                      "laplace_beltrami"])
+def test_evaluator_calls_per_node_and_per_point(operator):
+    # what the benchmark pays: a Sobolev node of a grad-only field costs one
+    # value and one grad call, a per-point operator on a value-only field one
+    # stencil of 2n + 1 = 9 values, and a closed form no call at all
+    b = Bubble(4, 1.3, (0.1, 0.2, -0.3, 0.0)).as_field()
+    if operator.startswith("sobolev"):
+        method = operator.split(".")[1]
+        run = lambda lam: sobolev_quotient(lam, 4, center=(0.1, 0.2, -0.3, 0.0), method=method, tensor_nodes=3)
+        copy, want = ScalarField4(b.value, b.grad), (588 if method == "radial" else 3**4) * ["value", "grad"]
+    else:
+        run = lambda lam: _POINT_OPERATORS[operator](lam, np.array([0.4, -0.3, 0.2, 0.6]), 1e-4)
+        copy, want = ScalarField4(b.value), 9 * ["value"]
+    for lam, expected in ((b, []), (copy, want)):
+        calls = []
+        run(_counting(lam, calls))
+        assert sorted(calls) == sorted(expected)
 

@@ -15,7 +15,6 @@ from biharm4.solver import (
     bifurcation_points,
     continue_branch,
     detect_bifurcation_points,
-    jacobian_smallest_singular_value,
     profile_to_csv,
     profile_to_json_dict,
     recompute_residual,
@@ -27,10 +26,26 @@ from biharm4.solver import (
     torus_grid,
     write_branch_jsonl,
     _bordered_solve,
-    _s4_dense_jacobian,
     _s4_jacobian_banded,
     _torus_newton_step,
 )
+
+
+def _s4_dense_jacobian(u, k):
+    """The banded S^4 Jacobian as a dense matrix: the reference for the banded solves."""
+    ab = _s4_jacobian_banded(u, k)
+    N = u.size - 1
+    J = np.zeros((N + 1, N + 1))
+    idx = np.arange(N + 1)
+    J[idx, idx] = ab[1, idx]
+    J[idx[:-1], idx[:-1] + 1] = ab[0, 1:]
+    J[idx[1:], idx[1:] - 1] = ab[2, :-1]
+    return J
+
+
+def jacobian_smallest_singular_value(k, N=400):
+    J = _s4_dense_jacobian(np.full(N + 1, math.sqrt(k)), k)
+    return float(np.linalg.svd(J, compute_uv=False)[-1])
 
 
 def bubble_on_grid(delta, r):
