@@ -1,6 +1,6 @@
 """Newton / continuation solvers for the reduced equation in symmetric settings.
 
-Three problems, all on uniform grids with 2nd-order central differences:
+Three problems on uniform grids, each with one 2nd-order central stencil:
 
   * radial on R^4:   v'' + (3/r) v' + 2 v^3 = 0, v(0) given, regular at 0,
                      far field closed by the decay-model Robin condition
@@ -17,6 +17,7 @@ Solves are deterministic: identical inputs give bit-identical profiles.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -161,17 +162,19 @@ def _bordered_solve(ab: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray,
 
 def _radial_system(v_center: float, r: np.ndarray, dr: float):
     N = r.size - 1
+    # the PDE row of node i = 0 .. N-2 sits in F[i + 1], in difference form
+    # lo_i (v_{i-1} - v_i) + up_i (v_{i+1} - v_i) + 2 v_i^3.  At r = 0
+    # l'Hopital turns the operator into 4 v'' (1 + 3 from the angular term);
+    # the symmetric ghost gives v'' ~ 2(v1 - v0)/dr^2, so lo_0 = 0, up_0 = 8/dr^2
+    drift = 3.0 / (2.0 * dr * r[1:N - 1])
+    lo = np.append(0.0, 1.0 / dr**2 - drift)
+    up = np.append(8.0 / dr**2, 1.0 / dr**2 + drift)
 
     def residual(v):
+        dv = np.diff(v, prepend=v[0])
         F = np.empty(N + 1)
         F[0] = v[0] - v_center
-        # r = 0: l'Hopital turns the operator into 4 v'' (1 + 3 from the
-        # angular term); the symmetric ghost gives v'' ~ 2(v1 - v0)/dr^2
-        F[1] = 8.0 * (v[1] - v[0]) / dr**2 + 2.0 * v[0] ** 3
-        i = np.arange(1, N - 1)
-        F[2:N] = ((v[i + 1] - 2.0 * v[i] + v[i - 1]) / dr**2
-                  + (3.0 / r[i]) * (v[i + 1] - v[i - 1]) / (2.0 * dr)
-                  + 2.0 * v[i] ** 3)
+        F[1:N] = up * dv[1:N] - lo * dv[:N - 1] + 2.0 * v[:N - 1] ** 3
         # decay-model Robin at r_max (one-sided 2nd order); this row closes
         # the last node -- the PDE row at i = N-1 is intentionally absent,
         # since the origin rows already carry the Cauchy data
@@ -179,15 +182,12 @@ def _radial_system(v_center: float, r: np.ndarray, dr: float):
         return F
 
     def jac_solve(v, rhs):
-        # lower-banded (l=2, u=0) Jacobian
+        # lower-banded (l=2, u=0) Jacobian: the row of node i is row i + 1
         ab = np.zeros((3, N + 1))
         ab[0, 0] = 1.0
-        ab[1, 0] = -8.0 / dr**2 + 6.0 * v[0] ** 2   # row 1, col 0
-        ab[0, 1] = 8.0 / dr**2                      # row 1, col 1
-        i = np.arange(1, N - 1)
-        ab[2, i - 1] = 1.0 / dr**2 - 3.0 / (2.0 * dr * r[i])   # row i+1, col i-1
-        ab[1, i] = -2.0 / dr**2 + 6.0 * v[i] ** 2              # row i+1, col i
-        ab[0, i + 1] = 1.0 / dr**2 + 3.0 / (2.0 * dr * r[i])   # row i+1, col i+1
+        ab[0, 1:N] = up
+        ab[1, :N - 1] = 6.0 * v[:N - 1] ** 2 - (lo + up)
+        ab[2, :N - 2] = lo[1:]
         ab[2, N - 2] = 1.0 / (2.0 * dr)
         ab[1, N - 1] = -2.0 / dr
         ab[0, N] = 3.0 / (2.0 * dr) + 2.0 / r[N]
@@ -228,6 +228,24 @@ def s4_theta_grid(N: int) -> np.ndarray:
     return np.linspace(0.0, math.pi, N + 1)
 
 
+@functools.lru_cache(maxsize=16)
+def _s4_operator(N: int):
+    """The operator -u'' - 3 cot(theta) u' on the N-interval theta grid, in
+    difference form (D u)_i = lo_i (u_{i-1} - u_i) + up_i (u_{i+1} - u_i).
+
+    The pole rows hold the l'Hopital limit -4u'' with the Neumann ghost
+    u_{-1} = u_1, so lo_0 = up_N = 0.  Every row sums to zero, so D
+    annihilates constants exactly.  Returns the read-only pair (lo, up)."""
+    th = s4_theta_grid(N)
+    dth = th[1] - th[0]
+    drift = 3.0 * (np.cos(th[1:N]) / np.sin(th[1:N])) / (2.0 * dth)
+    lo = np.concatenate([[0.0], -1.0 / dth**2 + drift, [-8.0 / dth**2]])
+    up = np.concatenate([[-8.0 / dth**2], -1.0 / dth**2 - drift, [0.0]])
+    lo.setflags(write=False)
+    up.setflags(write=False)
+    return lo, up
+
+
 def s4_axisym_residual(u: np.ndarray, k: float) -> np.ndarray:
     """Pointwise residual -u'' - 3 cot(theta) u' + k u - u^3 on [0, pi].
 
@@ -235,35 +253,15 @@ def s4_axisym_residual(u: np.ndarray, k: float) -> np.ndarray:
     -4u'' + k u - u^3 (Neumann symmetry is built into the end stencils).
     """
     u = np.asarray(u, dtype=float)
-    N = u.size - 1
-    th = s4_theta_grid(N)
-    dth = th[1] - th[0]
-    F = np.empty(N + 1)
-    F[0] = -4.0 * (2.0 * u[1] - 2.0 * u[0]) / dth**2 + k * u[0] - u[0] ** 3
-    i = np.arange(1, N)
-    cot = np.cos(th[i]) / np.sin(th[i])
-    F[1:N] = (-(u[i + 1] - 2.0 * u[i] + u[i - 1]) / dth**2
-              - 3.0 * cot * (u[i + 1] - u[i - 1]) / (2.0 * dth)
-              + k * u[i] - u[i] ** 3)
-    F[N] = -4.0 * (2.0 * u[N - 1] - 2.0 * u[N]) / dth**2 + k * u[N] - u[N] ** 3
-    return F
+    lo, up = _s4_operator(u.size - 1)
+    du = np.diff(u, prepend=u[0], append=u[-1])
+    return up * du[1:] - lo * du[:-1] + k * u - u**3
 
 
 def _s4_jacobian_banded(u: np.ndarray, k: float) -> np.ndarray:
-    N = u.size - 1
-    th = s4_theta_grid(N)
-    dth = th[1] - th[0]
-    ab = np.zeros((3, N + 1))
-    ab[1, 0] = 8.0 / dth**2 + k - 3.0 * u[0] ** 2
-    ab[0, 1] = -8.0 / dth**2
-    i = np.arange(1, N)
-    cot = np.cos(th[i]) / np.sin(th[i])
-    ab[0, i + 1] = -1.0 / dth**2 - 3.0 * cot / (2.0 * dth)
-    ab[1, i] = 2.0 / dth**2 + k - 3.0 * u[i] ** 2
-    ab[2, i - 1] = -1.0 / dth**2 + 3.0 * cot / (2.0 * dth)
-    ab[2, N - 1] = -8.0 / dth**2
-    ab[1, N] = 8.0 / dth**2 + k - 3.0 * u[N] ** 2
-    return ab
+    """The S^4 Jacobian D + (k - 3u^2) I in banded (1, 1) form."""
+    lo, up = _s4_operator(u.size - 1)
+    return np.array([np.roll(up, 1), k - 3.0 * u**2 - (lo + up), np.roll(lo, -1)])
 
 
 def _mode_index(ell) -> int:
@@ -313,7 +311,7 @@ def detect_bifurcation_points(k_min: float = 1.5, k_max: float = 9.6,
     """Every discrete bifurcation point of the constant branch in [k_min, k_max].
 
     On the N-interval grid the constant-branch Jacobian is J(k) = D - 2kI,
-    with D the k-independent tridiagonal operator of the S^4 rows, so J(k)
+    with D the k-independent tridiagonal operator `_s4_operator`, so J(k)
     is singular exactly at half an eigenvalue of D.  The sign of det J(k)
     is taken on a grid of spacing at most dk that spans the window; each
     sign change brackets one such k, and all brackets are then refined
@@ -329,8 +327,8 @@ def detect_bifurcation_points(k_min: float = 1.5, k_max: float = 9.6,
         raise ValueError(f"need finite k_min <= k_max, got [{k_min}, {k_max}]")
     if N < 2:
         raise ValueError("the S^4 grid needs N >= 2 intervals")
-    ab = _s4_jacobian_banded(np.zeros(N + 1), 0.0)
-    diag, offprod = ab[1], ab[0, 1:] * ab[2, :-1]
+    sub, sup = _s4_operator(N)
+    diag, offprod = -(sub + sup), sup[:-1] * sub[1:]
     ks = np.linspace(k_min, k_max, max(1, math.ceil((k_max - k_min) / dk)) + 1)
     neg = _det_is_negative(diag, offprod, ks)
     i = np.flatnonzero(neg[1:] != neg[:-1])
@@ -418,13 +416,19 @@ def continue_branch(ell: int, k_from: float, k_to: float, steps: int,
     """Pseudo-arclength continuation of the nonconstant branch seeded from
     the ell-th axisymmetric mode near its bifurcation point.
 
-    Emits up to `steps` branch points between k_from and k_to; the secant
-    predictor adapts its step (x0.5 on failure, x1.3 on fast convergence)
-    and the run stops with a status when k leaves the window or the
-    corrector stalls.
+    The first point is a fixed-k Newton solve at k_from from a few signed
+    multiples of the mode.  The first predictor is the exact tangent there,
+    every later one the secant of the last two points.  The first step
+    advances k by min(|k_to - k_from| / steps, 0.05); the step then adapts
+    (x0.5 on failure, x1.3 on fast and x0.7 on slow convergence) and is
+    capped at the remaining k distance per remaining point.  The run emits
+    `steps` points (status 'ok') unless k leaves the window ('window') or
+    the step collapses below 1e-4 ('stalled').
     """
     if steps < 1 or not 0.0 < k_from < math.inf:
         raise ValueError("steps must be >= 1 and k_from positive and finite")
+    if not math.isfinite(k_to) or (k_to == k_from and steps > 1):
+        raise ValueError(f"k_to must be finite and differ from k_from, got k_to = {k_to}")
     th = s4_theta_grid(N)
     mode = axisym_mode(ell, th)
     direction = 1.0 if k_to >= k_from else -1.0
@@ -447,50 +451,31 @@ def continue_branch(ell: int, k_from: float, k_to: float, steps: int,
         raise BranchError(f"no nonconstant solution found at k = {k_from} (ell = {ell})")
 
     points = [first]
-    u_prev, k_prev = first.profile.values.copy(), first.k
     if steps == 1:
         return BranchRun(points, "ok", "single point requested")
 
-    # second point by a natural step; a large step can fall back to the
-    # constant branch, so cap it and halve on loss
-    dk = direction * min(abs(k_to - k_from) / steps, 0.05)
-    second = None
-    for _ in range(5):
-        try:
-            cand = solve_s4(k_prev + dk, u_prev, tol=tol)
-        except ConvergenceError:
-            cand = None
-        if cand is not None and cand.amplitude > 1e-4:
-            second = cand
-            break
-        dk *= 0.5
-    if second is None:
-        return BranchRun(points, "lost_branch", "natural step kept falling to the constant branch")
-    arclength = abs(dk)
-    points.append(_make_branch_point(second.k, second.profile.values, second.profile.residual_sup,
-                                     tol, arclength))
-    u_cur, k_cur = second.profile.values.copy(), second.k
-
     wu = 1.0 / (N + 1)
-    h = math.hypot(math.sqrt(wu * float((u_cur - u_prev) @ (u_cur - u_prev))), abs(k_cur - k_prev))
+    u_cur, k_cur = first.profile.values, first.k
+    # exact tangent (du, dkk): J du + u dkk = 0, since dF/dk = u
+    dkk = direction
+    du = solve_banded((1, 1), _s4_jacobian_banded(u_cur, k_cur), -dkk * u_cur)
+    h = min(abs(k_to - k_from) / steps, 0.05) * math.hypot(math.sqrt(wu * float(du @ du)), 1.0)
     h_max = 10.0 * h
+    arclength = 0.0
     while len(points) < steps:
-        du = u_cur - u_prev
-        dkk = k_cur - k_prev
         norm = math.hypot(math.sqrt(wu * float(du @ du)), abs(dkk))
         tu, tk = du / norm, dkk / norm
         # spread the remaining k distance over the remaining points so the
-        # run lands near k_to with the requested point count
+        # run does not pass k_to before the requested point count
         remaining = direction * (k_to - k_cur)
         if remaining > 0 and abs(tk) > 1e-12:
             h = min(h, max(remaining / ((steps - len(points)) * abs(tk)), 1e-4))
-        advanced = False
-        while not advanced:
+        while True:
             u_pred = u_cur + h * tu
             k_pred = k_cur + h * tk
             try:
                 u_new, k_new, res, iters = _bordered_corrector(u_pred, k_pred, tu, tk, tol)
-                advanced = True
+                break
             except ConvergenceError as exc:
                 h *= 0.5
                 if h < 1e-4:
@@ -499,7 +484,7 @@ def continue_branch(ell: int, k_from: float, k_to: float, steps: int,
             return BranchRun(points, "window", f"k = {k_new:.4f} left the window {k_window}")
         arclength += h
         points.append(_make_branch_point(k_new, u_new, res, tol, arclength))
-        u_prev, k_prev = u_cur, k_cur
+        du, dkk = u_new - u_cur, k_new - k_cur
         u_cur, k_cur = u_new, k_new
         if iters <= 4:
             h = min(1.3 * h, h_max)

@@ -316,6 +316,7 @@ def test_solve_radial_overflowing_iterate_is_solver_failure(capsys):
     ["solve", "s4", "-N", "1"],
     ["solve", "s4", "--k", "-1"],
     ["sweep", "s4-branch", "--k-from", "-1"],
+    ["sweep", "s4-branch", "--k-to", "5.05"],
     ["solve", "radial", "--tol", "nan"],
     ["solve", "s4", "--tol", "-1"],
     ["solve", "torus", "--A", "nan"],

@@ -26,6 +26,7 @@ from biharm4.solver import (
     torus_grid,
     write_branch_jsonl,
     _bordered_solve,
+    _radial_system,
     _s4_jacobian_banded,
     _torus_newton_step,
 )
@@ -41,6 +42,10 @@ def _s4_dense_jacobian(u, k):
     J[idx[:-1], idx[:-1] + 1] = ab[0, 1:]
     J[idx[1:], idx[1:] - 1] = ab[2, :-1]
     return J
+
+
+def _relative_error(x, ref):
+    return float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
 
 
 def jacobian_smallest_singular_value(k, N=400):
@@ -139,7 +144,31 @@ def test_s4_operator_constant_solutions():
         assert np.max(np.abs(s4_axisym_residual(u, k))) < 1e-12
     c = 1.3
     r = s4_axisym_residual(np.full(N + 1, c), 2.0)
-    assert np.allclose(r, 2.0 * c - c**3)
+    assert np.all(r == 2.0 * c - c**3)   # exact: every row of D sums to zero
+
+
+def _central_difference(F, x, w, eps=1e-6):
+    return (F(x + eps * w) - F(x - eps * w)) / (2.0 * eps)
+
+
+@pytest.mark.parametrize("N", [400, 200])
+def test_s4_jacobian_is_the_derivative_of_the_residual(N):
+    rng = np.random.default_rng(N)
+    u, w, k = rng.uniform(0.5, 2.0, N + 1), rng.standard_normal(N + 1), 5.0
+    Jw = _s4_dense_jacobian(u, k) @ w
+    fd = _central_difference(lambda x: s4_axisym_residual(x, k), u, w)
+    for rows in (slice(0, 1), slice(1, N), slice(N, N + 1)):   # pole, interior, pole
+        assert _relative_error(fd[rows], Jw[rows]) < 1e-6, rows
+
+
+@pytest.mark.parametrize("N", [200, 1000])
+def test_radial_jacobian_is_the_derivative_of_the_residual(N):
+    rng = np.random.default_rng(N)
+    r = np.linspace(0.0, 10.0, N + 1)
+    residual, jac_solve = _radial_system(2.0, r, r[1] - r[0])
+    v = 2.0 / (1.0 + r**2) * rng.uniform(0.9, 1.1, N + 1)
+    w = rng.standard_normal(N + 1)
+    assert _relative_error(jac_solve(v, _central_difference(residual, v, w)), w) < 1e-6
 
 
 def test_s4_linearization_annihilates_mode_at_bifurcation():
@@ -286,10 +315,6 @@ def test_solve_s4_validation():
 # branch continuation
 # ---------------------------------------------------------------------------
 
-def _relative_error(x, ref):
-    return float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
-
-
 def test_bordered_solve_matches_dense_s4_border():
     # the corrector's system: banded S^4 Jacobian bordered by dF/dk = u and
     # the arclength row, at the first (k = 5.05) and last (k ~ 6.0) points
@@ -339,6 +364,19 @@ def test_branch_growth_from_second_bifurcation():
     # arclength strictly increases along the branch
     s = [p.arclength for p in run.points]
     assert all(b > a for a, b in zip(s, s[1:]))
+
+
+@pytest.mark.parametrize("k_from, k_to", [(5.01, 6.0), (4.99, 4.0)])
+def test_branch_lands_on_k_to(k_from, k_to):
+    run = continue_branch(2, k_from, k_to, 10, N=400)
+    assert run.status == "ok" and len(run.points) == 10
+    assert abs(run.points[-1].k - k_to) <= 0.01
+
+
+@pytest.mark.parametrize("k_to", [math.nan, math.inf, 5.05])
+def test_branch_rejects_k_to_that_is_not_finite_or_equals_k_from(k_to):
+    with pytest.raises(ValueError, match="k_to"):
+        continue_branch(2, 5.05, k_to, 5, N=200)
 
 
 def test_branch_single_step():
