@@ -29,7 +29,6 @@ from .families import (
 )
 from .mobius import (
     MobiusTransform,
-    NormalForm,
     TransformParseError,
     Verdict,
     classify_mobius,

@@ -212,7 +212,7 @@ def _audit_row(T: mobius.MobiusTransform, pairing: str) -> dict:
     }
     if pairing == "flat-sphere":
         nf = mobius.mobius_normal_form(T, verify=False)
-        row["normal_form"] = {"delta": nf.delta, "e": list(nf.e)}
+        row["normal_form"] = {"delta": nf.delta, "e": list(nf.x0)}
     return row
 
 
@@ -297,9 +297,9 @@ def cmd_solve(cfg: RunConfig) -> int:
         N = cfg.getint("N", 1000)
         tol = cfg.getfloat("tol", 1e-10)
         profile = solver.solve_radial_r4(v0, r_max, N, tol=tol)
-        bubble = families.Bubble(4, 2.0 / v0, (0.0,) * 4)
-        sup_err = float(np.max(np.abs(profile.values - np.array([bubble.value(np.array([r, 0, 0, 0]))
-                                                                 for r in profile.grid]))))
+        axis = np.outer(profile.grid, np.eye(4)[0])
+        exact = families.Bubble(4, 2.0 / v0, (0.0,) * 4).closed_form.jets(axis)[0]
+        sup_err = float(np.max(np.abs(profile.values - exact)))
         extra = {"bubble_delta": 2.0 / v0, "bubble_sup_error": sup_err,
                  "bubble_sup_error_sci": _sci(sup_err)}
         _profile_outputs(cfg, profile, extra,

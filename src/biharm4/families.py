@@ -124,9 +124,6 @@ def classical_example(name: str, alpha: float | None = None) -> CatalogEntry:
     raise ValueError(f"unknown classical example {name!r}")
 
 
-CATALOG_NAMES = ("inverse_radius", "poincare_ball", "sphere_identity", "power_alpha", "harmonic_inversion")
-
-
 def solution_catalog() -> list[CatalogEntry]:
     """Every entry with declared (a, A), including the alpha = -1 power factor."""
     return [

@@ -8,22 +8,24 @@ The central objects, for a conformal factor lam > 0 on an Einstein domain
             + 2 a grad ln lam + ((6-n)/2) grad|grad ln lam|^2,
     which vanishes exactly at points where the conformal map is biharmonic.
   * einstein_form_residual -- its integrated gradient form
-        grad(lam Delta lam + a lam^2 - ((n-4)/2)|grad lam|^2) - 4 (Delta lam) grad lam.
+        grad(lam Delta lam + a lam^2 - ((n-4)/2)|grad lam|^2) - 4 (Delta lam) grad lam,
+    identically lam^2 times the biharmonic vector; for n = 4 it is
+    lam^4 grad((Delta lam - a lam) / lam^3), zero where Delta lam - a lam = A lam^3.
   * yamabe_residual -- the dimension-4 reduction Delta lam - a lam - A lam^3.
 
 All operators act in the metric given by a ConformalMetricDescriptor; the
 returned vectors are coordinate components in the chart, including the
 mu^-2 index-raising factor of the curved gradient.
 
-Both 3rd-order residuals are one formula in the jets of ln lam and ln mu
+The biharmonic vector is one formula in the jets of ln lam and ln mu
 (value, gradient, Hessian, gradient of the Laplacian) on a whole grid at
 once.  `fields.jets` gives them exactly for a field that carries a
 LogQuadratic, so residuals of true solutions vanish to roundoff, and from
 a 41-point central-difference stencil at step 1e-3 for any other field:
-good to about 1e-4 for the biharmonic residual, but the einstein form
-carries lam^2 and can miss by more where lam is large.  mu is always
-exact.  The 2nd-order residuals need only lam, |grad lam|_g and Delta_g lam,
-and take them in one batch from `fields._second_order`.
+good to about 1e-4 for the biharmonic residual, and lam^2 times that for
+the einstein form.  mu is always exact.  The 2nd-order residuals need only
+lam, |grad lam|_g and Delta_g lam, and take them in one batch from
+`fields._second_order`.
 """
 
 from __future__ import annotations
@@ -86,27 +88,18 @@ class ResidualReport:
             raise ValueError("per-point magnitudes must match the successful point count")
 
 
-def _residual_vectors(equation: str, lam_jets, terms, n: int, a: float) -> np.ndarray:
-    """Biharmonic or einstein_form residual vectors from the jets of ln lam
-    and their `_jet_terms` at a batch of points; grad e = -2 e grad m."""
-    lam, gu, Hu, gLu = lam_jets
+def _residual_vectors(lam_jets, terms, n: int, a: float) -> np.ndarray:
+    """Biharmonic residual vectors from the jets of ln lam and their `_jet_terms`
+    at a batch of points; grad e = -2 e grad m."""
+    gu, Hu, gLu = lam_jets[1:]
     e, gm, Hm, s, L = terms
 
     def mat(H, v):
         return np.einsum("kij,kj->ki", H, v)
 
-    Hgu = mat(Hu, gu)
     grad_L = gLu + 2.0 * mat(Hm, gu) + 2.0 * mat(Hu, gm)
-    if equation == "biharmonic":
-        vec = (e * (grad_L - 2.0 * L * gm) - e * (2.0 * L + (n - 2) * s) * gu + 2.0 * a * gu
-               + (6 - n) * e * (Hgu - s * gm))
-    else:
-        # S = lam^2 (e (K - (n-4)/2 s) + a) with K = L + s, so Delta_g lam = lam e K
-        K = L + s
-        B = K - 0.5 * (n - 4) * s
-        grad_S = lam[:, None] ** 2 * (2.0 * (e * B + a) * gu + e * (grad_L + (6 - n) * Hgu - 2.0 * B * gm))
-        vec = grad_S - 4.0 * lam[:, None] ** 2 * e * K * gu
-    return vec * e
+    return e * (e * (grad_L - 2.0 * L * gm) - e * (2.0 * L + (n - 2) * s) * gu + 2.0 * a * gu
+                + (6 - n) * e * (mat(Hu, gu) - s * gm))
 
 
 def _residual_rows(lam: ScalarField4, X: np.ndarray, metric: ConformalMetricDescriptor, h: float | None,
@@ -119,7 +112,11 @@ def _residual_rows(lam: ScalarField4, X: np.ndarray, metric: ConformalMetricDesc
     if metric.kind != "flat" and datum.n != 4:
         raise UnsupportedDimensionError("curved-metric residuals are implemented for n = 4 only")
     ok, lam_jets, terms = _grid_jets(lam, X, metric, h)
-    return ok, _residual_vectors(equation, lam_jets, terms, datum.n, datum.a)
+    vec = _residual_vectors(lam_jets, terms, datum.n, datum.a)
+    if equation == "einstein_form":
+        # the gradient form is lam^2 times the biharmonic vector, term by term
+        vec *= lam_jets[0][:, None] ** 2
+    return ok, vec
 
 
 def _tension(n: int, grad_sq):  # the codomain norm (n-2)|grad lam|_g of the tension field
@@ -138,7 +135,7 @@ def biharmonic_residual(lam: ScalarField4, datum: EinsteinDatum, x,
 def einstein_form_residual(lam: ScalarField4, datum: EinsteinDatum, x,
                            metric: ConformalMetricDescriptor = FLAT,
                            h: float | None = None) -> np.ndarray:
-    """Vector residual of the integrated (gradient-form) equation at x.
+    """Vector residual of the gradient-form equation at x: lam(x)^2 times the biharmonic one.
 
     `h` is the stencil step of `fd_jets` for a field without a closed form."""
     return _at_point(_residual_rows, lam, x, metric, h, "einstein_form", datum)[0]

@@ -219,6 +219,16 @@ def test_audit_single_transform(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["rows"][0]["verdict"] == "proper_biharmonic"
 
+    # bubbles so wide or narrow that lam^3 is too small on the fit points:
+    # the fitted A is null and the verdicts are criterion 4's table
+    for literal in ("eps=2 alpha=0.001 tin=1,0,0,0", "eps=0 alpha=1e-5 tin=1,0.5,0,0",
+                    "eps=0 alpha=1000 tin=1,0,0,0", "eps=2 alpha=1e5 tin=1,0,0,0"):
+        assert run(["mobius-audit", "--transform", literal, "--all-pairings", "--out", str(out)]) == EXIT_OK
+        rows = json.loads(out.read_text())["rows"]
+        eps = rows[0]["eps"]
+        assert [r["verdict"] for r in rows] == ["harmonic" if eps == 0 else "proper_biharmonic",
+                                                "proper_biharmonic", "not_biharmonic", "not_biharmonic"]
+
 
 def test_audit_identity_is_harmonic(tmp_path):
     out = tmp_path / "audit.json"

@@ -109,18 +109,18 @@ def test_sphere_domain_factors():
 def test_normal_form_examples():
     nf = mobius_normal_form(MobiusTransform.inversion())
     assert nf.delta == pytest.approx(1.0)
-    assert np.allclose(nf.e, np.zeros(4))
+    assert np.allclose(nf.x0, np.zeros(4))
 
     T = MobiusTransform((0.0,) * 4, (0.0,) * 4, 2.0, I4, 0)
     nf = mobius_normal_form(T)
     assert nf.delta == pytest.approx(0.5)
-    assert np.allclose(nf.e, np.zeros(4))
+    assert np.allclose(nf.x0, np.zeros(4))
 
     a = (1.0, 0.0, 0.0, 0.0)
     T = MobiusTransform(a, (0.0,) * 4, 2.0, I4, 2)
     nf = mobius_normal_form(T)
     assert nf.delta == pytest.approx(1.0)
-    assert np.allclose(nf.e, -np.asarray(a))
+    assert np.allclose(nf.x0, -np.asarray(a))
 
 
 @pytest.mark.parametrize("eps", [0, 2])
@@ -134,6 +134,17 @@ def test_normal_form_reproduces_factor_pointwise(eps):
         for _ in range(2):
             x = rng.uniform(-4, 4, 4)
             assert abs(lam.value(x) - nf.value(x)) < 1e-10
+
+
+def test_normal_form_verify_raises_on_a_mismatch(monkeypatch):
+    import biharm4.mobius as mobius
+
+    T = MobiusTransform.inversion()
+    factor = mobius_conformal_factor(T, "flat-sphere")
+    monkeypatch.setattr(mobius, "mobius_conformal_factor", lambda *_: (1.001 * factor.closed_form).field())
+    assert mobius_normal_form(T, verify=False).delta == pytest.approx(1.0)
+    with pytest.raises(AssertionError, match="normal form mismatch"):
+        mobius_normal_form(T)
 
 
 def test_normal_form_rejects_other_pairings():

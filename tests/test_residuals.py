@@ -13,6 +13,7 @@ from biharm4.fields import (
     ConformalMetricDescriptor,
     DomainError,
     EinsteinDatum,
+    LogQuadratic,
     ScalarField4,
     SingularLocus,
     constant_field,
@@ -406,6 +407,34 @@ def test_perturbation_breaks_catalog_fields():
         rb = residual_report("biharmonic", pf, grid, datum=EinsteinDatum(4, entry.a))
         assert ry.sup > 1e-2, entry.name
         assert rb.sup > 1e-2, entry.name
+
+
+def test_characterization_scan_on_R4():
+    # Caffarelli-Gidas-Spruck (1989): the positive solutions of the cubic
+    # equation on R^4 with A < 0 are the bubbles.  Over single-term factors
+    # q^p, q = c2 x^T diag(1, 1, 1, m) x + c0, the exact flat biharmonic
+    # residual vanishes on exactly the bubbles, 1/|x|, 1/|x|^2 and the ball
+    # models, and stays order one on every other candidate.
+    sups = {}
+    for c2 in (1.0, -1.0):
+        for m in (1.0, 0.5, -1.0):
+            for c0 in (1.0, 0.25, 0.0):
+                if c2 < 0 and m > 0 and c0 == 0:
+                    continue  # q < 0 everywhere
+                radius = 0.9 * math.sqrt(c0) if c2 < 0 < c0 else 3.0
+                grid = standard_grid(60, radius)
+                for p in np.arange(-2.0, 1.25, 0.25):
+                    if p == 0:
+                        continue
+                    term = (c2 * np.diag([1.0, 1.0, 1.0, m]), np.zeros(4), c0, p)
+                    lam = LogQuadratic(1.0, (term,)).field()
+                    sups[c2, m, c0, p] = residual_report("biharmonic", lam, grid, datum=FLAT4).sup
+    assert len(sups) == 192
+    solutions = {key for key, sup in sups.items() if sup < 1e-8}
+    assert solutions == {(1.0, 1.0, 1.0, -1.0), (1.0, 1.0, 0.25, -1.0),      # bubbles
+                         (1.0, 1.0, 0.0, -0.5), (1.0, 1.0, 0.0, -1.0),       # 1/|x|, 1/|x|^2
+                         (-1.0, 1.0, 1.0, -1.0), (-1.0, 1.0, 0.25, -1.0)}    # ball models
+    assert min(sup for key, sup in sups.items() if key not in solutions) > 0.1
 
 
 def test_estimate_A_recovers_catalog_constants():
