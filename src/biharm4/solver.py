@@ -12,6 +12,10 @@ Three problems on uniform grids, each with one 2nd-order central stencil:
                      constraint whose multiplier is exactly the integral
                      obstruction A * mean(lam^3).
 
+Each Newton step is one linear solve matched to its band structure: the
+lower-triangular radial Jacobian is one LAPACK tbtrs forward substitution,
+the tridiagonal S^4 and torus blocks go straight to LAPACK gtsv.
+
 Solves are deterministic: identical inputs give bit-identical profiles.
 """
 
@@ -26,7 +30,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack
 
 MAX_HALVINGS = 30
 
@@ -143,6 +147,29 @@ def _newton(residual: Callable, jac_solve: Callable, z0: np.ndarray, tol: float,
             raise ConvergenceError(f"line search stalled at residual {nrm:.3e}",
                                    iterate=z, residual=nrm)
         z, F = zn, Fn
+
+
+def solve_banded(l_and_u, ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b for A in scipy.linalg.solve_banded's band storage.
+
+    Only the two band shapes the solvers build are accepted: tridiagonal
+    (1, 1) goes straight to LAPACK gtsv, and lower-triangular (l, 0) is one
+    tbtrs forward substitution, which needs no pivoting.  A zero pivot
+    raises LinAlgError; non-finite input and other shapes raise ValueError.
+    """
+    l, u = l_and_u
+    ab, b = np.asarray(ab, dtype=float), np.asarray(b, dtype=float)
+    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if (l, u) == (1, 1) and ab.shape[0] == 3:
+        *_, x, info = lapack.dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
+    elif u == 0 and ab.shape[0] == l + 1:
+        x, info = lapack.dtbtrs(ab, b, uplo="L")
+    else:
+        raise ValueError(f"unsupported band shape (l, u) = ({l}, {u}) for {ab.shape[0]} stored rows")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"singular matrix: zero pivot in row {info}")
+    return x
 
 
 def _bordered_solve(ab: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray,
@@ -418,10 +445,11 @@ def continue_branch(ell: int, k_from: float, k_to: float, steps: int,
 
     The first point is a fixed-k Newton solve at k_from from a few signed
     multiples of the mode.  The first predictor is the exact tangent there,
-    every later one the secant of the last two points.  The first step
-    advances k by min(|k_to - k_from| / steps, 0.05); the step then adapts
-    (x0.5 on failure, x1.3 on fast and x0.7 on slow convergence) and is
-    capped at the remaining k distance per remaining point.  The run emits
+    every later one the secant of the last two points.  Each step is the
+    remaining k distance spread over the remaining points, capped at ten
+    times min(|k_to - k_from| / steps, 0.05) and halved on failure; once k
+    has passed k_to, or where the tangent is vertical in k, the step adapts
+    instead (x1.3 on fast and x0.7 on slow convergence).  The run emits
     `steps` points (status 'ok') unless k leaves the window ('window') or
     the step collapses below 1e-4 ('stalled').
     """
@@ -465,11 +493,11 @@ def continue_branch(ell: int, k_from: float, k_to: float, steps: int,
     while len(points) < steps:
         norm = math.hypot(math.sqrt(wu * float(du @ du)), abs(dkk))
         tu, tk = du / norm, dkk / norm
-        # spread the remaining k distance over the remaining points so the
-        # run does not pass k_to before the requested point count
+        # spread the remaining k distance over the remaining points, so the
+        # run lands on k_to with the requested point count
         remaining = direction * (k_to - k_cur)
         if remaining > 0 and abs(tk) > 1e-12:
-            h = min(h, max(remaining / ((steps - len(points)) * abs(tk)), 1e-4))
+            h = min(max(remaining / ((steps - len(points)) * abs(tk)), 1e-4), h_max)
         while True:
             u_pred = u_cur + h * tu
             k_pred = k_cur + h * tk

@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from biharm4 import solver
 from biharm4.families import Bubble
 from biharm4.solver import (
     BranchError,
@@ -20,12 +22,14 @@ from biharm4.solver import (
     recompute_residual,
     s4_axisym_residual,
     s4_theta_grid,
+    solve_banded,
     solve_radial_r4,
     solve_s4,
     solve_torus,
     torus_grid,
     write_branch_jsonl,
     _bordered_solve,
+    _newton,
     _radial_system,
     _s4_jacobian_banded,
     _torus_newton_step,
@@ -117,6 +121,107 @@ def test_radial_overflowing_iterate_is_convergence_error():
     # the first residual overflows (v^3 with v ~ 1e300): no numpy warning, a solver failure
     with pytest.raises(ConvergenceError, match="not finite"):
         solve_radial_r4(1e300, 10.0, 200)
+
+
+# ---------------------------------------------------------------------------
+# banded linear solves
+# ---------------------------------------------------------------------------
+
+def _radial_jacobian_system(N, monkeypatch):
+    """The banded (2, 0) Jacobian and right-hand side of the first radial Newton step."""
+    r = np.linspace(0.0, 10.0, N + 1)
+    residual, jac_solve = _radial_system(2.0, r, r[1] - r[0])
+    seen = []
+    monkeypatch.setattr(solver, "solve_banded", lambda l_and_u, ab, b: seen.append((ab, b)))
+    v = 2.0 / (1.0 + r**2 / 3.0)
+    jac_solve(v, -residual(v))
+    monkeypatch.undo()
+    return seen[0]
+
+
+def _extended_forward_substitution(ab, b):
+    """Lower band solve in extended precision: the roundoff-free reference."""
+    A, x = ab.astype(np.longdouble), np.zeros(b.size, dtype=np.longdouble)
+    for i in range(b.size):
+        s = np.longdouble(b[i])
+        for d in range(1, min(i, ab.shape[0] - 1) + 1):
+            s -= A[d, i - d] * x[i - d]
+        x[i] = s / A[0, i]
+    return x.astype(float)
+
+
+@pytest.mark.parametrize("nrhs", [None, 4])
+def test_solve_banded_tridiagonal_matches_scipy(nrhs):
+    rng = np.random.default_rng(3)
+    n = 300
+    ab = rng.uniform(-1.0, 1.0, (3, n))
+    ab[1] += 2.5 * np.sign(ab[1])  # diagonally dominant
+    b = rng.standard_normal(n if nrhs is None else (n, nrhs))
+    x = solve_banded((1, 1), ab, b)
+    assert x.shape == b.shape
+    assert _relative_error(x, scipy.linalg.solve_banded((1, 1), ab, b)) < 1e-14
+
+
+@pytest.mark.parametrize("N, scipy_tol", [(1000, 2e-12), (8000, 5e-12)])
+def test_solve_banded_radial_forward_substitution_matches_scipy(N, scipy_tol, monkeypatch):
+    ab, b = _radial_jacobian_system(N, monkeypatch)
+    x = solve_banded((2, 0), ab, b)
+    ref = scipy.linalg.solve_banded((2, 0), ab, b)
+    assert _relative_error(x, ref) < scipy_tol
+    # the gap is the reference's roundoff: against extended precision the
+    # pivoted band LU is 1.0e-12 (N = 1000) and 3.4e-12 (N = 8000) off, the
+    # forward substitution 2.5e-14 and 1.0e-12
+    exact = _extended_forward_substitution(ab, b)
+    assert _relative_error(x, exact) <= _relative_error(ref, exact)
+
+
+@pytest.mark.parametrize("l_and_u, ab", [
+    ((1, 1), np.array([[0.0, 1.0], [1.0, 1.0], [1.0, 0.0]])),  # [[1, 1], [1, 1]]
+    ((2, 0), np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])),
+])
+def test_solve_banded_zero_pivot_is_linalg_error(l_and_u, ab):
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        solve_banded(l_and_u, ab, np.ones(ab.shape[1]))
+
+
+def test_solve_banded_rejects_non_finite_input_and_other_band_shapes():
+    ab = np.array([[0.0, 1.0, 1.0], [4.0, 4.0, 4.0], [1.0, 1.0, 0.0]])
+    b = np.ones(3)
+    with pytest.raises(ValueError, match="NaN"):
+        solve_banded((1, 1), np.where(ab == 4.0, np.nan, ab), b)
+    with pytest.raises(ValueError, match="NaN"):
+        solve_banded((1, 1), ab, np.array([1.0, np.nan, 1.0]))
+    with pytest.raises(ValueError, match="band shape"):
+        solve_banded((2, 2), np.vstack([ab, ab[:2]]), b)
+
+
+def test_newton_reports_a_singular_jacobian_as_convergence_error():
+    ab = np.ones((3, 4))
+    ab[0, 2] = 0.0  # zero diagonal in row 2 of a lower-triangular Jacobian
+    with pytest.raises(ConvergenceError, match="singular Jacobian") as exc:
+        _newton(lambda z: z - 1.0, lambda z, rhs: solve_banded((2, 0), ab, rhs),
+                np.full(4, 2.0), 1e-10, 5)
+    assert np.array_equal(exc.value.iterate, np.full(4, 2.0))
+    assert exc.value.residual == 1.0
+
+
+def test_every_banded_solve_goes_through_the_module_attribute(monkeypatch):
+    # the benchmark counts linear solves by patching solver.solve_banded; a
+    # call that bypassed it would leave these counts short
+    calls = []
+    inner = solver.solve_banded
+    monkeypatch.setattr(solver, "solve_banded", lambda *a: calls.append(1) or inner(*a))
+
+    def count(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    th = s4_theta_grid(200)
+    assert count(lambda: solve_radial_r4(2.0, 10.0, 1000)) == 6
+    assert count(lambda: solve_s4(5.05, math.sqrt(5.05) + 0.1 * axisym_mode(2, th))) == 6
+    assert count(lambda: solve_torus(0.0, 1.0 + 0.3 * np.sin(torus_grid(64)))) == 1
+    assert count(lambda: continue_branch(2, 5.05, 5.2, 3, N=100)) == 9
 
 
 def test_profile_invariants():
@@ -366,10 +471,14 @@ def test_branch_growth_from_second_bifurcation():
     assert all(b > a for a, b in zip(s, s[1:]))
 
 
-@pytest.mark.parametrize("k_from, k_to", [(5.01, 6.0), (4.99, 4.0)])
-def test_branch_lands_on_k_to(k_from, k_to):
-    run = continue_branch(2, k_from, k_to, 10, N=400)
-    assert run.status == "ok" and len(run.points) == 10
+@pytest.mark.parametrize("k_from, k_to, steps, N", [
+    (5.01, 6.0, 10, 400), (4.99, 4.0, 10, 400),
+    # few-step runs: the remaining k distance is spread over the remaining points
+    (5.05, 6.0, 5, 400), (5.05, 5.3, 4, 300), (5.05, 5.2, 3, 100),
+])
+def test_branch_lands_on_k_to(k_from, k_to, steps, N):
+    run = continue_branch(2, k_from, k_to, steps, N=N)
+    assert run.status == "ok" and len(run.points) == steps
     assert abs(run.points[-1].k - k_to) <= 0.01
 
 
