@@ -240,8 +240,8 @@ def classify_mobius(T: MobiusTransform, pairing: str,
     of exact jets of ln lam, and of ln mu on the spherical domain (|x| <= 3,
     a = 3): the biharmonic residual and tension sup-norms, the factor range
     for sphere->sphere, A fitted on the first 12 grid points for a flat
-    domain (None where lam^3 is too small there), and for flat->sphere the
-    normal-form distance at 25 seeded points.
+    domain (None where the sum of lam^6 there is not a normal double), and
+    for flat->sphere the normal-form distance at 25 seeded points.
     """
     if pairing not in PAIRINGS:
         raise ValueError(f"unknown pairing {pairing!r}")

@@ -31,6 +31,7 @@ lam, |grad lam|_g and Delta_g lam, and take them in one batch from
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
@@ -165,8 +166,10 @@ def _least_squares_A(lam: np.ndarray, lap: np.ndarray, a: float) -> ConstantA:
         raise ValueError("need at least two sample points")
     rhs, cubes = lap - a * lam, lam**3
     denom = float(cubes @ cubes)
-    if denom < 1e-14 * len(cubes):
-        raise IllConditionedError("lam^3 vanishes at every sample; A is undetermined")
+    # the fit is scale-covariant (lam -> c lam sends A -> A / c^2): only a sum
+    # of lam^6 outside the normal doubles (subnormal, 0 or inf) leaves A undetermined
+    if not sys.float_info.min <= denom < math.inf:
+        raise IllConditionedError(f"sum of lam^6 over the samples is {denom!r}; A is undetermined")
     value = float(cubes @ rhs) / denom
     return ConstantA(value, float(np.sqrt(np.mean((rhs - value * cubes) ** 2))))
 

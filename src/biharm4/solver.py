@@ -14,7 +14,8 @@ Three problems on uniform grids, each with one 2nd-order central stencil:
 
 Each Newton step is one linear solve matched to its band structure: the
 lower-triangular radial Jacobian is one LAPACK tbtrs forward substitution,
-the tridiagonal S^4 and torus blocks go straight to LAPACK gtsv.
+the tridiagonal S^4 and torus blocks go straight to LAPACK gtsv.  A grid's
+constant arrays are built once and a step rewrites only the u-dependent diagonal.
 
 Solves are deterministic: identical inputs give bit-identical profiles.
 """
@@ -27,7 +28,7 @@ import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import lapack
@@ -196,12 +197,22 @@ def _radial_system(v_center: float, r: np.ndarray, dr: float):
     drift = 3.0 / (2.0 * dr * r[1:N - 1])
     lo = np.append(0.0, 1.0 / dr**2 - drift)
     up = np.append(8.0 / dr**2, 1.0 / dr**2 + drift)
+    dv = np.zeros(N)  # dv[i] = v_i - v_{i-1}; dv[0] stays 0
+    # lower-banded (l=2, u=0) Jacobian: the row of node i is row i + 1;
+    # only the PDE rows' diagonal depends on v
+    ab = np.zeros((3, N + 1))
+    ab[0, 0] = 1.0
+    ab[0, 1:N] = up
+    ab[2, :N - 2] = lo[1:]
+    ab[2, N - 2] = 1.0 / (2.0 * dr)
+    ab[1, N - 1] = -2.0 / dr
+    ab[0, N] = 3.0 / (2.0 * dr) + 2.0 / r[N]
 
     def residual(v):
-        dv = np.diff(v, prepend=v[0])
+        np.subtract(v[1:N], v[:N - 1], out=dv[1:])
         F = np.empty(N + 1)
         F[0] = v[0] - v_center
-        F[1:N] = up * dv[1:N] - lo * dv[:N - 1] + 2.0 * v[:N - 1] ** 3
+        F[1:N] = up * dv[1:] - lo * dv[:-1] + 2.0 * v[:N - 1] ** 3
         # decay-model Robin at r_max (one-sided 2nd order); this row closes
         # the last node -- the PDE row at i = N-1 is intentionally absent,
         # since the origin rows already carry the Cauchy data
@@ -209,15 +220,7 @@ def _radial_system(v_center: float, r: np.ndarray, dr: float):
         return F
 
     def jac_solve(v, rhs):
-        # lower-banded (l=2, u=0) Jacobian: the row of node i is row i + 1
-        ab = np.zeros((3, N + 1))
-        ab[0, 0] = 1.0
-        ab[0, 1:N] = up
         ab[1, :N - 1] = 6.0 * v[:N - 1] ** 2 - (lo + up)
-        ab[2, :N - 2] = lo[1:]
-        ab[2, N - 2] = 1.0 / (2.0 * dr)
-        ab[1, N - 1] = -2.0 / dr
-        ab[0, N] = 3.0 / (2.0 * dr) + 2.0 / r[N]
         return solve_banded((2, 0), ab, rhs)
 
     return residual, jac_solve
@@ -255,22 +258,43 @@ def s4_theta_grid(N: int) -> np.ndarray:
     return np.linspace(0.0, math.pi, N + 1)
 
 
+class _S4Grid(NamedTuple):
+    """The read-only arrays of the N-interval theta grid that no solve changes."""
+
+    theta: np.ndarray
+    lo: np.ndarray
+    up: np.ndarray
+    band: np.ndarray      # D in banded (1, 1) form
+    dtheta: np.ndarray    # diff(theta)
+    sin3: np.ndarray      # sin(theta)^3
+    weights: Optional[np.ndarray]  # np.gradient's 3-point weights; None on uniform spacing
+
+
 @functools.lru_cache(maxsize=16)
-def _s4_operator(N: int):
+def _s4_operator(N: int) -> _S4Grid:
     """The operator -u'' - 3 cot(theta) u' on the N-interval theta grid, in
     difference form (D u)_i = lo_i (u_{i-1} - u_i) + up_i (u_{i+1} - u_i).
 
     The pole rows hold the l'Hopital limit -4u'' with the Neumann ghost
     u_{-1} = u_1, so lo_0 = up_N = 0.  Every row sums to zero, so D
-    annihilates constants exactly.  Returns the read-only pair (lo, up)."""
+    annihilates constants exactly.  The record adds the grid's Jacobian
+    band and gradient-energy weights."""
     th = s4_theta_grid(N)
     dth = th[1] - th[0]
     drift = 3.0 * (np.cos(th[1:N]) / np.sin(th[1:N])) / (2.0 * dth)
     lo = np.concatenate([[0.0], -1.0 / dth**2 + drift, [-8.0 / dth**2]])
     up = np.concatenate([[-8.0 / dth**2], -1.0 / dth**2 - drift, [0.0]])
-    lo.setflags(write=False)
-    up.setflags(write=False)
-    return lo, up
+    band = np.array([np.roll(up, 1), -(lo + up), np.roll(lo, -1)])
+    d = np.diff(th)
+    weights = None
+    if not (d == d[0]).all():  # the coordinate-array weights of np.gradient
+        d1, d2 = d[:-1], d[1:]
+        weights = np.array([-d2 / (d1 * (d1 + d2)), (d2 - d1) / (d1 * d2), d1 / (d2 * (d1 + d2))])
+    grid = _S4Grid(th, lo, up, band, d, np.sin(th) ** 3, weights)
+    for arr in grid:
+        if arr is not None:
+            arr.setflags(write=False)
+    return grid
 
 
 def s4_axisym_residual(u: np.ndarray, k: float) -> np.ndarray:
@@ -280,15 +304,17 @@ def s4_axisym_residual(u: np.ndarray, k: float) -> np.ndarray:
     -4u'' + k u - u^3 (Neumann symmetry is built into the end stencils).
     """
     u = np.asarray(u, dtype=float)
-    lo, up = _s4_operator(u.size - 1)
-    du = np.diff(u, prepend=u[0], append=u[-1])
-    return up * du[1:] - lo * du[:-1] + k * u - u**3
+    g = _s4_operator(u.size - 1)
+    du = np.zeros(u.size + 1)  # du[i] = u_i - u_{i-1}, zero at the Neumann ends
+    np.subtract(u[1:], u[:-1], out=du[1:-1])
+    return g.up * du[1:] - g.lo * du[:-1] + k * u - u**3
 
 
 def _s4_jacobian_banded(u: np.ndarray, k: float) -> np.ndarray:
     """The S^4 Jacobian D + (k - 3u^2) I in banded (1, 1) form."""
-    lo, up = _s4_operator(u.size - 1)
-    return np.array([np.roll(up, 1), k - 3.0 * u**2 - (lo + up), np.roll(lo, -1)])
+    ab = _s4_operator(u.size - 1).band.copy()
+    ab[1] += k - 3.0 * u**2  # IEEE addition commutes: the same bits as (k - 3u^2) + band[1]
+    return ab
 
 
 def _mode_index(ell) -> int:
@@ -354,8 +380,8 @@ def detect_bifurcation_points(k_min: float = 1.5, k_max: float = 9.6,
         raise ValueError(f"need finite k_min <= k_max, got [{k_min}, {k_max}]")
     if N < 2:
         raise ValueError("the S^4 grid needs N >= 2 intervals")
-    sub, sup = _s4_operator(N)
-    diag, offprod = -(sub + sup), sup[:-1] * sub[1:]
+    band = _s4_operator(N).band
+    diag, offprod = band[1], band[0, 1:] * band[2, :-1]
     ks = np.linspace(k_min, k_max, max(1, math.ceil((k_max - k_min) / dk)) + 1)
     neg = _det_is_negative(diag, offprod, ks)
     i = np.flatnonzero(neg[1:] != neg[:-1])
@@ -372,22 +398,26 @@ def detect_bifurcation_points(k_min: float = 1.5, k_max: float = 9.6,
     return [float(k) for k in 0.5 * (lo + hi)]
 
 
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
-
-def _gradient_energy(th: np.ndarray, u: np.ndarray) -> float:
-    """integral over S^4 of |grad u|^2 = 2 pi^2 * int u'(theta)^2 sin^3 theta."""
-    du = np.gradient(u, th)
-    return 2.0 * math.pi**2 * float(_trapezoid(du**2 * np.sin(th) ** 3, th))
+def _gradient_energy(u: np.ndarray) -> float:
+    """integral over S^4 of |grad u|^2 = 2 pi^2 * int u'(theta)^2 sin^3 theta,
+    with u' as np.gradient(u, theta) and the integral as np.trapezoid give them."""
+    g = _s4_operator(u.size - 1)
+    du = np.empty(u.size)
+    if g.weights is None:
+        du[1:-1] = (u[2:] - u[:-2]) / (2.0 * g.dtheta[0])
+    else:
+        du[1:-1] = g.weights[0] * u[:-2] + g.weights[1] * u[1:-1] + g.weights[2] * u[2:]
+    du[0] = (u[1] - u[0]) / g.dtheta[0]
+    du[-1] = (u[-1] - u[-2]) / g.dtheta[-1]
+    y = du**2 * g.sin3
+    return 2.0 * math.pi**2 * float((g.dtheta * (y[1:] + y[:-1]) / 2.0).sum())
 
 
 def _make_branch_point(k: float, u: np.ndarray, res: float, tol: float,
                        arclength: float) -> BranchPoint:
     N = u.size - 1
-    th = s4_theta_grid(N)
-    profile = RadialProfile(th, u, "s4_axisym", {"k": k, "N": N, "tol": tol}, res)
-    return BranchPoint(k, profile, arclength, float(np.max(u) - np.min(u)),
-                       _gradient_energy(th, u))
+    profile = RadialProfile(_s4_operator(N).theta, u, "s4_axisym", {"k": k, "N": N, "tol": tol}, res)
+    return BranchPoint(k, profile, arclength, float(np.max(u) - np.min(u)), _gradient_energy(u))
 
 
 def solve_s4(k: float, init: np.ndarray, tol: float = 1e-9,
@@ -423,8 +453,10 @@ def _bordered_corrector(u_pred: np.ndarray, k_pred: float,
     wu = 1.0 / n  # mesh-independent inner product weight on the u block
 
     def residual(z):
-        c = wu * float(tangent_u @ (z[:n] - u_pred)) + tangent_k * (z[n] - k_pred)
-        return np.append(s4_axisym_residual(z[:n], z[n]), c)
+        F = np.empty(n + 1)
+        F[:n] = s4_axisym_residual(z[:n], z[n])
+        F[n] = wu * float(tangent_u @ (z[:n] - u_pred)) + tangent_k * (z[n] - k_pred)
+        return F
 
     def jac_solve(z, rhs):
         du, dk = _bordered_solve(_s4_jacobian_banded(z[:n], z[n]), z[:n, None], wu * tangent_u[None, :],

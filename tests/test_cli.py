@@ -219,15 +219,20 @@ def test_audit_single_transform(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["rows"][0]["verdict"] == "proper_biharmonic"
 
-    # bubbles so wide or narrow that lam^3 is too small on the fit points:
-    # the fitted A is null and the verdicts are criterion 4's table
-    for literal in ("eps=2 alpha=0.001 tin=1,0,0,0", "eps=0 alpha=1e-5 tin=1,0.5,0,0",
-                    "eps=0 alpha=1000 tin=1,0,0,0", "eps=2 alpha=1e5 tin=1,0,0,0"):
+    # bubbles so wide or narrow that lam^3 is tiny on the fit points still fit
+    # A (the fit is scale-covariant); where lam^3 underflows (alpha = 1e-110)
+    # the fitted A is null.  Either way the verdicts are criterion 4's table
+    for literal, fits in (("eps=2 alpha=0.001 tin=1,0,0,0", True), ("eps=0 alpha=1e-5 tin=1,0.5,0,0", True),
+                          ("eps=0 alpha=1000 tin=1,0,0,0", True), ("eps=2 alpha=1e5 tin=1,0,0,0", True),
+                          ("eps=0 alpha=1e-110 tin=1,0,0,0", False)):
         assert run(["mobius-audit", "--transform", literal, "--all-pairings", "--out", str(out)]) == EXIT_OK
         rows = json.loads(out.read_text())["rows"]
         eps = rows[0]["eps"]
         assert [r["verdict"] for r in rows] == ["harmonic" if eps == 0 else "proper_biharmonic",
                                                 "proper_biharmonic", "not_biharmonic", "not_biharmonic"]
+        for r in rows[:2]:  # the flat domains
+            assert (r["evidence"]["fitted_A"] is not None) == fits
+            assert (r["evidence"]["fit_residual"] is not None) == fits
 
 
 def test_audit_identity_is_harmonic(tmp_path):

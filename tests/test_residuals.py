@@ -199,13 +199,31 @@ def test_estimate_A_no_constant_fits_exponential():
     assert fit.fit_residual > 1e-2
 
 
+def _constant_field(c):
+    return ScalarField4(lambda x: c, lambda x: np.zeros(4), lambda x: np.zeros((4, 4)))
+
+
 def test_estimate_A_requires_samples_and_conditioning():
     lam = Bubble(4, 1.0, (0.0,) * 4).as_field()
     with pytest.raises(ValueError):
         estimate_A(lam, 0.0, [[1.0, 0, 0, 0]])
-    tiny = ScalarField4(lambda x: 1e-8, lambda x: np.zeros(4), lambda x: np.zeros((4, 4)))
-    with pytest.raises(IllConditionedError):
-        estimate_A(tiny, 0.0, [[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
+    # lam^3 = 1e-330 underflows to 0 at every sample: A is undetermined;
+    # at lam = 1e-52 the sum of lam^6 = 2e-312 is subnormal and keeps too few digits
+    for c in (1e-110, 1e-52):
+        with pytest.raises(IllConditionedError):
+            estimate_A(_constant_field(c), 0.0, [[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
+
+
+def test_estimate_A_is_scale_covariant():
+    # lam -> c lam sends A -> A / c^2, so a small lam^3 alone does not make the
+    # fit ill-conditioned: a wide bubble (lam ~ 2e-3, lam^6 ~ 6e-17) still fits
+    # A = -2, and a small constant fits its exact A = 0
+    pts = np.random.default_rng(12).uniform(-3.0, 3.0, (12, 4))
+    fit = estimate_A(Bubble(4, 1000.0, (0.0,) * 4).as_field(), 0.0, pts)
+    assert fit.value == pytest.approx(-2.0, abs=1e-12)
+    assert fit.fit_residual < 1e-12
+    fit = estimate_A(_constant_field(1e-8), 0.0, [[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
+    assert (fit.value, fit.fit_residual) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

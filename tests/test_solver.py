@@ -417,6 +417,112 @@ def test_solve_s4_validation():
 
 
 # ---------------------------------------------------------------------------
+# per-grid constant arrays against their reference formulas
+# ---------------------------------------------------------------------------
+
+def _reference_s4_residual(u, k):
+    g = solver._s4_operator(u.size - 1)
+    du = np.diff(u, prepend=u[0], append=u[-1])
+    return g.up * du[1:] - g.lo * du[:-1] + k * u - u**3
+
+
+def _reference_s4_jacobian(u, k):
+    g = solver._s4_operator(u.size - 1)
+    return np.array([np.roll(g.up, 1), k - 3.0 * u**2 - (g.lo + g.up), np.roll(g.lo, -1)])
+
+
+def _reference_gradient_energy(u):
+    th = s4_theta_grid(u.size - 1)
+    trapezoid = getattr(np, "trapezoid", None) or np.trapz   # numpy < 2 has only trapz
+    return 2.0 * math.pi**2 * float(trapezoid(np.gradient(u, th) ** 2 * np.sin(th) ** 3, th))
+
+
+def _reference_radial_system(v_center, r, v):
+    """The radial residual and zero-filled Jacobian band, built from scratch."""
+    N, dr = r.size - 1, r[1] - r[0]
+    drift = 3.0 / (2.0 * dr * r[1:N - 1])
+    lo = np.append(0.0, 1.0 / dr**2 - drift)
+    up = np.append(8.0 / dr**2, 1.0 / dr**2 + drift)
+    dv = np.diff(v, prepend=v[0])
+    F = np.empty(N + 1)
+    F[0] = v[0] - v_center
+    F[1:N] = up * dv[1:N] - lo * dv[:N - 1] + 2.0 * v[:N - 1] ** 3
+    F[N] = (3.0 * v[N] - 4.0 * v[N - 1] + v[N - 2]) / (2.0 * dr) + 2.0 * v[N] / r[N]
+    ab = np.zeros((3, N + 1))
+    ab[0, 0] = 1.0
+    ab[0, 1:N] = up
+    ab[1, :N - 1] = 6.0 * v[:N - 1] ** 2 - (lo + up)
+    ab[2, :N - 2] = lo[1:]
+    ab[2, N - 2] = 1.0 / (2.0 * dr)
+    ab[1, N - 1] = -2.0 / dr
+    ab[0, N] = 3.0 / (2.0 * dr) + 2.0 / r[N]
+    return F, ab
+
+
+@pytest.mark.parametrize("N", [2, 3, 37, 400])
+def test_s4_kernels_equal_the_reference_formulas_bit_for_bit(N):
+    # N = 2 has exactly uniform theta spacing, where np.gradient takes its
+    # scalar-spacing branch; the other grids take the coordinate-array branch
+    rng = np.random.default_rng(N)
+    for _ in range(3):
+        u, k = rng.uniform(0.2, 3.0, N + 1), float(rng.uniform(0.5, 10.0))
+        assert np.array_equal(s4_axisym_residual(u, k), _reference_s4_residual(u, k))
+        assert np.array_equal(_s4_jacobian_banded(u, k), _reference_s4_jacobian(u, k))
+        assert solver._gradient_energy(u) == _reference_gradient_energy(u)
+
+
+@pytest.mark.parametrize("N", [100, 8000])
+def test_radial_kernels_equal_the_reference_formulas_bit_for_bit(N, monkeypatch):
+    rng = np.random.default_rng(N)
+    r = np.linspace(0.0, 10.0, N + 1)
+    residual, jac_solve = _radial_system(2.0, r, r[1] - r[0])
+    bands = []
+    monkeypatch.setattr(solver, "solve_banded", lambda l_and_u, ab, b: bands.append(ab.copy()))
+    for _ in range(3):   # the band template is rewritten at every step
+        v = 2.0 / (1.0 + r**2 / 3.0) * rng.uniform(0.5, 1.5, N + 1)
+        F_ref, ab_ref = _reference_radial_system(2.0, r, v)
+        assert np.array_equal(residual(v), F_ref)
+        jac_solve(v, -F_ref)
+        assert np.array_equal(bands[-1], ab_ref)
+
+
+def _branch_digest(run):
+    return run.status, [(p.k, p.arclength, p.amplitude, p.gradient_energy, p.profile.residual_sup,
+                         p.profile.values.tobytes(), p.profile.grid.tobytes()) for p in run.points]
+
+
+def test_s4_grid_cache_cannot_be_corrupted():
+    N, k = 100, 5.1
+    init = math.sqrt(k) - 0.1 * axisym_mode(2, s4_theta_grid(N))
+    want = solve_s4(k, init)
+    g = solver._s4_operator(N)
+    for arr in g:
+        if arr is not None:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+    # what callers get back is theirs to write, or read-only
+    _s4_jacobian_banded(init, k)[...] = 0.0
+    s4_axisym_residual(init, k)[...] = 0.0
+    s4_theta_grid(N)[...] = 0.0
+    with pytest.raises(ValueError):
+        want.profile.grid[...] = 0.0
+    got = solve_s4(k, init)
+    assert got.profile.values.tobytes() == want.profile.values.tobytes()
+    assert (got.gradient_energy, got.profile.residual_sup) == (want.gradient_energy,
+                                                               want.profile.residual_sup)
+
+
+def test_interleaved_continuations_equal_fresh_runs():
+    fresh = {}
+    for N in (100, 400):
+        solver._s4_operator.cache_clear()
+        fresh[N] = _branch_digest(continue_branch(2, 5.05, 5.3, 4, N=N))
+    for N in (100, 400, 100, 400):
+        assert _branch_digest(continue_branch(2, 5.05, 5.3, 4, N=N)) == fresh[N]
+
+
+# ---------------------------------------------------------------------------
 # branch continuation
 # ---------------------------------------------------------------------------
 
