@@ -14,8 +14,9 @@ Three problems on uniform grids, each with one 2nd-order central stencil:
 
 Each Newton step is one linear solve matched to its band structure: the
 lower-triangular radial Jacobian is one LAPACK tbtrs forward substitution,
-the tridiagonal S^4 and torus blocks go straight to LAPACK gtsv.  A grid's
-constant arrays are built once and a step rewrites only the u-dependent diagonal.
+the tridiagonal S^4 and torus blocks go straight to LAPACK gtsv; the
+bifurcation scan is one LAPACK gttrf per k.  A grid's constant arrays are
+built once and a step rewrites only the u-dependent diagonal.
 
 Solves are deterministic: identical inputs give bit-identical profiles.
 """
@@ -109,23 +110,21 @@ def _newton(residual: Callable, jac_solve: Callable, z0: np.ndarray, tol: float,
     Steps that would make one of the first `n_positive` unknowns (all of
     them by default) non-positive are damped, never clipped.  `monitor`
     sees every iterate whose residual is tested.  Returns the iterate, its
-    residual norm, the number of steps and the norm history.  A non-finite
+    residual norm, the number of steps and its residual vector.  A non-finite
     residual fails the solve; a trial step is halved until its residual is finite.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     z = np.array(z0, dtype=float)
     F = residual(z)
-    history = []
     for it in range(max_iter + 1):
         nrm = float(np.max(np.abs(F)))
         if not math.isfinite(nrm):
             raise ConvergenceError("residual is not finite", iterate=z, residual=nrm)
-        history.append(nrm)
         if monitor is not None:
             monitor(z)
         if nrm < tol:
-            return z, nrm, it, history
+            return z, nrm, it, F
         if it == max_iter:
             raise ConvergenceError(f"no convergence after {max_iter} iterations (residual {nrm:.3e})",
                                    iterate=z, residual=nrm)
@@ -344,19 +343,16 @@ def bifurcation_points(ell: int) -> float:
     return ell * (ell + 3) / 2.0
 
 
-def _det_is_negative(diag: np.ndarray, offprod: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Whether det(D - 2kI) < 0, for each k in `ks`, for the tridiagonal D
-    with diagonal `diag` and products b_i c_i of its off-diagonal pairs.
+def _det_is_negative(band: np.ndarray, k: float) -> bool:
+    """Whether det(D - 2kI) < 0 for the tridiagonal D in banded (1, 1) form.
 
-    The determinant is the continuant p_i = (d_i - 2k) p_{i-1} - b_{i-1} c_{i-1} p_{i-2};
-    with entries near 8/dtheta^2 it overflows, so the recurrence runs on the
-    ratios r_i = p_i / p_{i-1} = (d_i - 2k) - b_{i-1} c_{i-1} / r_{i-1}, and
-    det = prod r_i is negative when an odd number of them are."""
-    r = diag[:, None] - 2.0 * np.ravel(ks)
-    with np.errstate(divide="ignore"):  # a zero pivot acts as a tiny positive one
-        for i in range(1, diag.size):
-            r[i] -= offprod[i - 1] / r[i - 1]
-    return (np.count_nonzero(r < 0.0, axis=0) % 2 == 1).reshape(np.shape(ks))
+    One LAPACK gttrf pivoted LU gives det = prod U_ii * (-1)^(row swaps);
+    a zero pivot counts as positive."""
+    _, d, _, _, ipiv, _ = lapack.dgttrf(band[2, :-1], band[1] - 2.0 * k, band[0, 1:],
+                                        overwrite_d=1)
+    # ipiv[i] is i + 1 (1-based, no swap) or i + 2 (rows i, i + 1 swapped)
+    swaps = int(ipiv.sum()) - ipiv.size * (ipiv.size + 1) // 2
+    return (np.count_nonzero(d < 0.0) + swaps) % 2 == 1
 
 
 def detect_bifurcation_points(k_min: float = 1.5, k_max: float = 9.6,
@@ -365,13 +361,13 @@ def detect_bifurcation_points(k_min: float = 1.5, k_max: float = 9.6,
 
     On the N-interval grid the constant-branch Jacobian is J(k) = D - 2kI,
     with D the k-independent tridiagonal operator `_s4_operator`, so J(k)
-    is singular exactly at half an eigenvalue of D.  The sign of det J(k)
-    is taken on a grid of spacing at most dk that spans the window; each
-    sign change brackets one such k, and all brackets are then refined
-    together by multisection to a few units in the last place.  The points
-    sit O(dtheta^2) below k_ell = ell(ell+3)/2; at N = 400 the offsets are
-    -1.8e-5, -1.6e-4 and -6.2e-4 for ell = 1, 2, 3.  D annihilates
-    constants, so a window containing k = 0 returns it too, to roundoff.
+    is singular exactly at half an eigenvalue of D.  The sign of det J(k),
+    from one pivoted LU, is taken on a grid of spacing at most dk that spans
+    the window; each sign change brackets one such k, which bisection refines
+    to a few units in the last place.  The points sit O(dtheta^2) below
+    k_ell = ell(ell+3)/2; at N = 400 the offsets are -1.8e-5, -1.6e-4 and
+    -6.2e-4 for ell = 1, 2, 3.  D annihilates constants, so a window
+    containing k = 0 returns it too, to roundoff.
     Two eigenvalues of D closer than dk can cancel in the sign and be missed.
     """
     if not (math.isfinite(dk) and dk > 0.0):
@@ -381,21 +377,16 @@ def detect_bifurcation_points(k_min: float = 1.5, k_max: float = 9.6,
     if N < 2:
         raise ValueError("the S^4 grid needs N >= 2 intervals")
     band = _s4_operator(N).band
-    diag, offprod = band[1], band[0, 1:] * band[2, :-1]
-    ks = np.linspace(k_min, k_max, max(1, math.ceil((k_max - k_min) / dk)) + 1)
-    neg = _det_is_negative(diag, offprod, ks)
-    i = np.flatnonzero(neg[1:] != neg[:-1])
-    lo, hi, neg_lo = ks[i], ks[i + 1], neg[i]
-    # each pass cuts every bracket into 32 and keeps the piece with the first
-    # sign change; above 64 ulp wide its 31 cut points are distinct
-    cuts = np.arange(1, 32) / 32.0
-    rows = np.arange(lo.size)
-    while np.any(hi - lo > 64.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))):
-        pts = np.column_stack([lo, lo[:, None] + (hi - lo)[:, None] * cuts, hi])
-        same = _det_is_negative(diag, offprod, pts[:, 1:-1]) == neg_lo[:, None]
-        j = np.argmin(np.column_stack([same, np.zeros(lo.size, dtype=bool)]), axis=1)
-        lo, hi = pts[rows, j], pts[rows, j + 1]
-    return [float(k) for k in 0.5 * (lo + hi)]
+    ks = np.linspace(k_min, k_max, max(1, math.ceil((k_max - k_min) / dk)) + 1).tolist()
+    neg = [_det_is_negative(band, k) for k in ks]
+    points = []
+    for i in np.flatnonzero(np.diff(neg)):  # diff of bools is not_equal: the sign changes
+        lo, hi = ks[i], ks[i + 1]
+        while hi - lo > 64.0 * math.ulp(max(abs(lo), abs(hi))):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if _det_is_negative(band, mid) == neg[i] else (lo, mid)
+        points.append(0.5 * (lo + hi))
+    return points
 
 
 def _gradient_energy(u: np.ndarray) -> float:
@@ -447,10 +438,13 @@ def _bordered_corrector(u_pred: np.ndarray, k_pred: float,
                         tol: float, max_iter: int = 25):
     """Newton on the system [axisym residual; arclength plane] in z = (u, k).
 
-    The Jacobian is the banded S^4 Jacobian bordered by the dF/dk = u
-    column and the arclength row, so each step is one bordered solve."""
+    The Jacobian is the banded S^4 Jacobian J bordered by the dF/dk = u column
+    and the arclength row c, so each step is `_bordered_solve` inline: one banded
+    solve J^-1 [u, f], then dk = (g - c J^-1 f) / (tangent_k - c J^-1 u)."""
     n = u_pred.size
     wu = 1.0 / n  # mesh-independent inner product weight on the u block
+    c = wu * tangent_u
+    cols = np.empty((n, 2), order="F")
 
     def residual(z):
         F = np.empty(n + 1)
@@ -459,14 +453,17 @@ def _bordered_corrector(u_pred: np.ndarray, k_pred: float,
         return F
 
     def jac_solve(z, rhs):
-        du, dk = _bordered_solve(_s4_jacobian_banded(z[:n], z[n]), z[:n, None], wu * tangent_u[None, :],
-                                 np.array([[tangent_k]]), rhs[:n], rhs[n:])
-        return np.append(du, dk)
+        cols[:, 0], cols[:, 1] = z[:n], rhs[:n]
+        x_u, x_f = solve_banded((1, 1), _s4_jacobian_banded(z[:n], z[n]), cols).T
+        schur = tangent_k - c @ x_u
+        if schur == 0.0:
+            raise np.linalg.LinAlgError("singular bordered system: zero Schur complement")
+        dk = (rhs[n] - c @ x_f) / schur
+        return np.append(x_f - dk * x_u, dk)
 
-    z, _, it, _ = _newton(residual, jac_solve, np.append(u_pred, k_pred), tol, max_iter,
+    z, _, it, F = _newton(residual, jac_solve, np.append(u_pred, k_pred), tol, max_iter,
                           n_positive=n)
-    u, k = z[:n], float(z[n])
-    return u, k, float(np.max(np.abs(s4_axisym_residual(u, k)))), it
+    return z[:n], float(z[n]), float(np.max(np.abs(F[:n]))), it
 
 
 def continue_branch(ell: int, k_from: float, k_to: float, steps: int,

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg import lapack
 
 from biharm4 import solver
 from biharm4.families import Bubble
@@ -346,13 +347,12 @@ def test_detected_bifurcations_are_half_the_eigenvalues_of_the_constant_branch_o
     assert len(wide) == 9   # k_1 .. k_9 = 54
 
 
-def test_discrete_bifurcation_offsets_are_second_order():
-    offsets = {N: np.array(detect_bifurcation_points(1.5, 9.6, 0.05, N=N)) - [2.0, 5.0, 9.0]
-               for N in (200, 400, 800)}
-    assert all(np.all(o < 0.0) for o in offsets.values())
-    for coarse, fine in ((200, 400), (400, 800)):
-        ratios = offsets[coarse] / offsets[fine]
-        assert np.all((3.5 < ratios) & (ratios < 4.5)), (coarse, ratios)
+def test_discrete_bifurcation_offsets_are_second_order(second_order):
+    offsets = [np.array(detect_bifurcation_points(1.5, 9.6, 0.05, N=N)) - [2.0, 5.0, 9.0]
+               for N in (200, 400, 800)]
+    assert all(np.all(o < 0.0) for o in offsets)
+    ratios, converges = second_order(offsets)
+    assert converges, ratios
 
 
 def test_narrow_window_finds_the_point_inside_it():
@@ -369,6 +369,57 @@ def test_bifurcation_detection_makes_no_svd_call(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", no_svd)
     assert len(detect_bifurcation_points(1.5, 9.6, 0.05, N=400)) == 3
+
+
+def _continuant_det_is_negative(band, ks):
+    """Whether det(D - 2kI) < 0 for each k in `ks`: the oracle for the scan's LU sign.
+
+    The determinant is the continuant p_i = (d_i - 2k) p_{i-1} - b_{i-1} c_{i-1} p_{i-2};
+    with entries near 8/dtheta^2 it overflows, so the recurrence runs on the
+    ratios r_i = p_i / p_{i-1} = (d_i - 2k) - b_{i-1} c_{i-1} / r_{i-1}, and
+    det = prod r_i is negative when an odd number of them are."""
+    offprod = band[0, 1:] * band[2, :-1]
+    r = band[1][:, None] - 2.0 * np.asarray(ks, dtype=float)
+    with np.errstate(divide="ignore"):  # a zero pivot acts as a tiny positive one
+        for i in range(1, r.shape[0]):
+            r[i] -= offprod[i - 1] / r[i - 1]
+    return np.count_nonzero(r < 0.0, axis=0) % 2 == 1
+
+
+@pytest.mark.parametrize("N", [100, 400, 1600])
+@pytest.mark.parametrize("k_min, k_max", [(1.5, 9.6), (0.5, 60.0)])
+def test_lu_determinant_sign_matches_the_continuant(N, k_min, k_max):
+    band = solver._s4_operator(N).band
+    ks = np.linspace(k_min, k_max, math.ceil((k_max - k_min) / 0.05) + 1)  # the scan's dk grid
+    lu = [solver._det_is_negative(band, k) for k in ks]
+    assert lu == _continuant_det_is_negative(band, ks).tolist()
+    assert any(a != b for a, b in zip(lu, lu[1:]))
+
+
+def test_an_exact_zero_pivot_counts_as_positive():
+    # [[2, 1, 0], [2, 2, 1], [0, 1, 1]] is singular; its LU has U_33 = 0 exactly, with no row swap
+    band = np.array([[0.0, 1.0, 1.0], [2.0, 2.0, 1.0], [2.0, 1.0, 0.0]])
+    _, d, _, _, ipiv, info = lapack.dgttrf(band[2, :-1], band[1], band[0, 1:])
+    assert (d.tolist(), ipiv.tolist(), info) == ([2.0, 1.0, 0.0], [1, 2, 3], 3)
+    for k in (0.0, -1e-3, 1e-3):
+        assert solver._det_is_negative(band, k) == _continuant_det_is_negative(band, [k])[0], k
+    assert not solver._det_is_negative(band, 0.0)
+
+
+def test_a_window_around_zero_finds_the_constant_mode():
+    # D annihilates constants, so J(0) = D is singular; k = 0 is a point of
+    # this window's grid, where the last LU pivot is roundoff-sized
+    (k0,) = detect_bifurcation_points(-0.5, 0.5, 0.05, N=400)
+    assert abs(k0) <= 1e-10
+
+
+def test_bifurcation_scan_takes_one_lu_per_k(monkeypatch):
+    calls = []
+    dgttrf = lapack.dgttrf
+    monkeypatch.setattr(lapack, "dgttrf", lambda *a, **kw: calls.append(1) or dgttrf(*a, **kw))
+    assert len(detect_bifurcation_points(1.5, 9.6, 0.05, N=400)) == 3
+    # 163 grid points, then at most 64 bisection steps for each of the three brackets
+    assert 163 <= len(calls) <= 163 + 3 * 64
 
 
 @pytest.mark.parametrize("args", [
@@ -542,6 +593,41 @@ def test_bordered_solve_matches_dense_s4_border():
         dense = np.block([[_s4_dense_jacobian(u, k), u[:, None]], [row, D]])
         ref = np.linalg.solve(dense, np.append(f, g))
         assert _relative_error(np.append(x, y), ref) < 1e-9, k
+
+
+def test_corrector_step_equals_the_bordered_solve(monkeypatch):
+    # the corrector eliminates its one border column inline; its Newton step
+    # is _bordered_solve's, bit for bit, at the first and last points of a run
+    run = continue_branch(2, 5.05, 6.0, 20, N=400, tol=1e-9)
+    steps = []
+    newton = solver._newton
+    monkeypatch.setattr(solver, "_newton",
+                        lambda residual, jac_solve, *a, **kw: steps.append(jac_solve) or
+                        newton(residual, jac_solve, *a, **kw))
+    rng = np.random.default_rng(7)
+    pts = run.points
+    for p, q in ((pts[0], pts[1]), (pts[-1], pts[-2])):
+        u, k = p.profile.values, p.k
+        n = u.size
+        tu, tk = u - q.profile.values, k - q.k
+        solver._bordered_corrector(u, k, tu, tk, 1e-9)
+        rhs = rng.standard_normal(n + 1)
+        x, y = _bordered_solve(_s4_jacobian_banded(u, k), u[:, None], (1.0 / n) * tu[None, :],
+                               np.array([[tk]]), rhs[:n], rhs[n:])
+        assert steps[-1](np.append(u, k), rhs).tobytes() == np.append(x, y).tobytes(), k
+
+
+def test_continuation_makes_no_dense_solve(monkeypatch):
+    def no_dense_solve(*args, **kwargs):
+        raise AssertionError("continue_branch called np.linalg.solve")
+
+    monkeypatch.setattr(np.linalg, "solve", no_dense_solve)
+    calls = []
+    banded = solver.solve_banded
+    monkeypatch.setattr(solver, "solve_banded", lambda *a: calls.append(1) or banded(*a))
+    run = continue_branch(2, 5.05, 6.0, 20, N=400)
+    assert (run.status, len(run.points)) == ("ok", 20)
+    assert len(calls) == 43
 
 
 @pytest.mark.parametrize("A", [0.0, -1.0, 0.5])
