@@ -17,13 +17,12 @@ from typing import Optional
 import numpy as np
 
 from .fields import (
-    DEFAULT_FD_STEP,
     DomainError,
     LogQuadratic,
     ScalarField4,
     SingularLocus,
-    _central,
     as_point,
+    fd_gradient,
     quadratic_term,
     radial_power_field,
 )
@@ -185,7 +184,7 @@ def sobolev_quotient(v: ScalarField4, n: int, center=None, r_max: float = 80.0,
     AccuracyWarning.  The tensor method uses a Gauss-Legendre product grid
     on the cube of half-width `tensor_half_width` about `center` (coarse,
     for non-symmetric fields).  A closed-form v is evaluated from one batch
-    of jets, any other v row by row from `value` and `grad` (else one `_central` stencil).
+    of jets, any other v row by row from `value` and `grad` (else `fd_gradient`).
     """
     if not n >= 3:
         raise ValueError("the Sobolev quotient needs n >= 3")
@@ -219,8 +218,7 @@ def sobolev_quotient(v: ScalarField4, n: int, center=None, r_max: float = 80.0,
     else:
         lam, G = np.empty(len(X)), np.empty(X.shape)
         for k, x in enumerate(X):
-            lam[k], G[k], *_ = ((v.value(x), v.grad(x)) if v.grad is not None
-                                else _central(v.value, x, DEFAULT_FD_STEP))
+            lam[k], G[k] = v.value(x), v.grad(x) if v.grad is not None else fd_gradient(v.value, x)
     terms = W * np.stack([np.einsum("ki,ki->k", G, G), np.abs(lam) ** p])
     num, den = terms.sum(axis=1)
     if method == "radial":

@@ -112,18 +112,6 @@ def test_tensor_quadrature_agrees_roughly():
     assert q == pytest.approx(GAUSSIAN_QUOTIENT_4D, rel=1e-3)
 
 
-def test_value_only_field_takes_one_stencil_per_node():
-    # v at a node is the centre of its gradient stencil: 2n + 1 = 9 value calls, not 10
-    value = gaussian_field().value
-    calls = []
-    field = ScalarField4(lambda x: calls.append(1) or value(x))
-    q = sobolev_quotient(field, 4, method="tensor", tensor_nodes=2)
-    assert len(calls) == 9 * 2**4
-    # the same bits as a separate value call plus fd_gradient
-    separate = ScalarField4(value, lambda x: fd_gradient(value, x))
-    assert q == sobolev_quotient(separate, 4, method="tensor", tensor_nodes=2)
-
-
 def test_truncation_warning_when_tail_matters():
     # a bubble integrated only to r = 2 leaves a visible gradient tail
     b = Bubble(4, 1.0, (0.0,) * 4).as_field()
