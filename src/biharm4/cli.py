@@ -10,6 +10,7 @@ assertion), 2 usage error, 3 solver failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -188,8 +189,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     if csv_path:
         lines = ["x1,x2,x3,x4,residual"]
         kept = grid[domain_mask(entry.field, grid)]
-        for p, v in zip(kept, report.values):
-            lines.append(",".join(repr(float(c)) for c in p) + f",{repr(float(v))}")
+        for p, v in zip(kept.tolist(), report.values.tolist()):
+            lines.append(",".join(map(repr, p + [v])))
         Path(csv_path).write_text("\n".join(lines) + "\n")
     _emit(out, cfg.get("out"),
           [f"{entry.name} [{equation}]  sup={_sci(report.sup)}  rms={_sci(report.rms)}  "
@@ -394,7 +395,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
 # argument wiring
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """One parser per process, built on the first call: parsing never mutates it; callers must not."""
     ap = argparse.ArgumentParser(prog="biharm4",
                                  description="verify, classify, and solve the conformal-factor equations")
     sub = ap.add_subparsers(dest="cmd", required=True)

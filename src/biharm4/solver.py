@@ -660,7 +660,7 @@ def recompute_residual(profile: RadialProfile) -> float:
 
 def profile_to_csv(profile: RadialProfile, path) -> None:
     lines = ["coordinate,value"]
-    lines += [f"{repr(float(c))},{repr(float(v))}" for c, v in zip(profile.grid, profile.values)]
+    lines += [f"{c!r},{v!r}" for c, v in zip(profile.grid.tolist(), profile.values.tolist())]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -669,8 +669,8 @@ def profile_to_json_dict(profile: RadialProfile) -> dict:
         "equation": profile.equation,
         "params": profile.params,
         "residual_sup": profile.residual_sup,
-        "grid": [float(c) for c in profile.grid],
-        "values": [float(v) for v in profile.values],
+        "grid": profile.grid.tolist(),
+        "values": profile.values.tolist(),
     }
 
 

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -434,3 +435,70 @@ def test_generated_arguments_keep_the_exit_code_contract(args):
             code = exc.code
     assert code in (EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, EXIT_SOLVER)
     assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# the shared parser, and every README example
+# ---------------------------------------------------------------------------
+
+def _run_in(workdir, args, monkeypatch):
+    """(exit code, stdout, {file name: bytes}) of one in-process run inside a fresh `workdir`."""
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = run(args)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue(), {p.name: p.read_bytes() for p in sorted(workdir.iterdir())}
+
+
+def test_build_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_seed_does_not_carry_over_to_the_next_run(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    argv = ["verify", "--family", "bubble", "--points", "30"]
+    assert run(argv + ["--seed", "7", "--out", str(a)]) == EXIT_OK
+    assert run(argv + ["--out", str(b)]) == EXIT_OK
+    assert json.loads(a.read_text())["grid"]["seed"] == 7
+    assert json.loads(b.read_text())["grid"]["seed"] is None
+
+
+def test_usage_error_leaves_the_parser_intact(tmp_path, monkeypatch):
+    argv = ["verify", "--family", "bubble", "--points", "30"]
+    build_parser.cache_clear()  # the next run builds the parser afresh
+    first = _run_in(tmp_path / "first", argv, monkeypatch)
+    assert first[0] == EXIT_OK
+    assert _run_in(tmp_path / "bad", argv + ["--bogus", "1"], monkeypatch)[0] == EXIT_USAGE
+    assert _run_in(tmp_path / "again", argv, monkeypatch) == first
+
+
+def _readme_examples():
+    """(argv, documented exit code) for each `biharm4 ...` line of the README's CLI section."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("biharm4 "):
+            code = int(line.split("# exits ", 1)[1][0]) if "# exits " in line else EXIT_OK
+            examples.append((shlex.split(line, comments=True)[1:], code))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_lists_ten_cli_examples():
+    assert len(README_EXAMPLES) == 10
+    assert [code for _, code in README_EXAMPLES].count(EXIT_SOLVER) == 1
+
+
+@pytest.mark.parametrize("argv, code", README_EXAMPLES, ids=[" ".join(a) for a, _ in README_EXAMPLES])
+def test_readme_example_exit_code_and_byte_identical_rerun(argv, code, tmp_path, monkeypatch):
+    first = _run_in(tmp_path / "first", argv, monkeypatch)
+    assert first[0] == code
+    assert first[1] or first[2]  # a report on stdout or in a file
+    assert _run_in(tmp_path / "second", argv, monkeypatch) == first
