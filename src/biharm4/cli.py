@@ -212,7 +212,7 @@ def _audit_row(T: mobius.MobiusTransform, pairing: str) -> dict:
         "evidence": dict(verdict.evidence),
     }
     if pairing == "flat-sphere":
-        nf = mobius.mobius_normal_form(T, verify=False)
+        nf = mobius.mobius_normal_form(T)
         row["normal_form"] = {"delta": nf.delta, "e": list(nf.x0)}
     return row
 

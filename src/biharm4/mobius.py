@@ -136,16 +136,12 @@ def mobius_conformal_factor(T: MobiusTransform, pairing: str) -> ScalarField4:
     return (_HALF_PLUS * fs).field(name="sphere_sphere_factor")
 
 
-def mobius_normal_form(T: MobiusTransform, pairing: str = "flat-sphere",
-                       verify: bool = True) -> Bubble:
+def mobius_normal_form(T: MobiusTransform) -> Bubble:
     """The flat->sphere factor as Bubble(4, delta, e) = 2 delta / (delta^2 + |x-e|^2).
 
     eps = 2: delta = alpha/(1+|a|^2),  e = b - alpha Q^T a / (1+|a|^2)
     eps = 0: delta = 1/alpha,          e = b - Q^T a / alpha
-    `verify` checks the two at 10 seeded points to 1e-8 relative.
     """
-    if pairing != "flat-sphere":
-        raise ValueError("normal form applies to the flat->sphere pairing only")
     if T.alpha <= 0:
         raise ValueError("normal form needs alpha > 0")
     a, b, al, Q = T.out_vec, T.in_vec, T.alpha, T.q_matrix
@@ -155,20 +151,7 @@ def mobius_normal_form(T: MobiusTransform, pairing: str = "flat-sphere",
     else:
         delta = 1.0 / al
         e = b - (Q.T @ a) / al
-    nf = Bubble(4, delta, e)
-    if verify:
-        X, got, want = _against_normal_form(mobius_conformal_factor(T, "flat-sphere"), nf, 10, 1234)
-        bad = np.abs(got - want) > 1e-8 * np.maximum(1.0, np.abs(want))
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise AssertionError(f"normal form mismatch at {X[k]}: {got[k]} vs {want[k]}")
-    return nf
-
-
-def _against_normal_form(factor: ScalarField4, nf: Bubble, n_points: int, seed: int):
-    """(X, factor, normal form) at n_points seeded uniform points X of [-3, 3]^4, one batch each."""
-    X = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(n_points, 4))
-    return X, factor.closed_form.jets(X)[0], nf.closed_form.jets(X)[0]
+    return Bubble(4, delta, e)
 
 
 def mobius_compose(T2: MobiusTransform, T1: MobiusTransform) -> MobiusTransform:
@@ -266,8 +249,9 @@ def classify_mobius(T: MobiusTransform, pairing: str,
         except IllConditionedError:
             evidence.update(fitted_A=None, fit_residual=None)
     if pairing == "flat-sphere":
-        nf = mobius_normal_form(T, verify=False)
-        _, got, want = _against_normal_form(factor, nf, 25, 99)
+        nf = mobius_normal_form(T)
+        X = np.random.default_rng(99).uniform(-3.0, 3.0, size=(25, 4))
+        got, want = factor.closed_form.jets(X)[0], nf.closed_form.jets(X)[0]
         evidence.update(normal_form_error=float(np.max(np.abs(got - want))), delta=nf.delta)
     if pairing == "sphere-sphere":
         evidence["factor_range"] = float(np.max(lam) - np.min(lam))

@@ -226,8 +226,7 @@ def _radial_system(v_center: float, r: np.ndarray, dr: float):
 
 
 def solve_radial_r4(v_center: float, r_max: float = 10.0, N: int = 1000,
-                    tol: float = 1e-10, max_iter: int = 50,
-                    init: Optional[np.ndarray] = None) -> RadialProfile:
+                    tol: float = 1e-10, max_iter: int = 50) -> RadialProfile:
     """Positive decaying solution of v'' + (3/r)v' + 2v^3 = 0 with v(0) = v_center.
 
     The solution is the width-(2/v_center) member of the decaying family;
@@ -242,7 +241,7 @@ def solve_radial_r4(v_center: float, r_max: float = 10.0, N: int = 1000,
     r = np.linspace(0.0, r_max, N + 1)
     dr = r[1] - r[0]
     residual, jac_solve = _radial_system(v_center, r, dr)
-    v0 = init if init is not None else v_center / (1.0 + r**2 / 3.0)
+    v0 = v_center / (1.0 + r**2 / 3.0)
     v, nrm, _, _ = _newton(residual, jac_solve, v0, tol, max_iter)
     return RadialProfile(r, v, "r4_bubble",
                          {"v_center": v_center, "r_max": r_max, "N": N, "tol": tol},
@@ -476,11 +475,11 @@ def continue_branch(ell: int, k_from: float, k_to: float, steps: int,
     multiples of the mode.  The first predictor is the exact tangent there,
     every later one the secant of the last two points.  Each step is the
     remaining k distance spread over the remaining points, capped at ten
-    times min(|k_to - k_from| / steps, 0.05) and halved on failure; once k
-    has passed k_to, or where the tangent is vertical in k, the step adapts
-    instead (x1.3 on fast and x0.7 on slow convergence).  The run emits
-    `steps` points (status 'ok') unless k leaves the window ('window') or
-    the step collapses below 1e-4 ('stalled').
+    times min(|k_to - k_from| / steps, 0.05), floored at 1e-4 and halved on
+    failure; once k has passed k_to, or where the tangent is vertical in k,
+    the step keeps its last size.  The run emits `steps` points (status
+    'ok') unless k leaves the window ('window') or the step collapses below
+    1e-4 ('stalled').
     """
     if steps < 1 or not 0.0 < k_from < math.inf:
         raise ValueError("steps must be >= 1 and k_from positive and finite")
@@ -531,7 +530,7 @@ def continue_branch(ell: int, k_from: float, k_to: float, steps: int,
             u_pred = u_cur + h * tu
             k_pred = k_cur + h * tk
             try:
-                u_new, k_new, res, iters = _bordered_corrector(u_pred, k_pred, tu, tk, tol)
+                u_new, k_new, res, _ = _bordered_corrector(u_pred, k_pred, tu, tk, tol)
                 break
             except ConvergenceError as exc:
                 h *= 0.5
@@ -543,12 +542,8 @@ def continue_branch(ell: int, k_from: float, k_to: float, steps: int,
         points.append(_make_branch_point(k_new, u_new, res, tol, arclength))
         du, dkk = u_new - u_cur, k_new - k_cur
         u_cur, k_cur = u_new, k_new
-        if iters <= 4:
-            h = min(1.3 * h, h_max)
-        elif iters >= 10:
-            h *= 0.7
-        if direction * (k_cur - k_to) >= 0 and len(points) >= steps:
-            return BranchRun(points, "ok", "reached k_to")
+    if direction * (k_cur - k_to) >= 0:
+        return BranchRun(points, "ok", "reached k_to")
     return BranchRun(points, "ok", "emitted requested number of points")
 
 
@@ -588,10 +583,10 @@ def _torus_newton_step(A: float, z: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.append(dlam, y[0])
 
 
-def solve_torus(A: float, init: np.ndarray, a: float = 0.0,
-                tol: float = 1e-10, max_iter: int = 60,
-                obstruction_tol: float = 1e-8) -> TorusRun:
-    """Mean-constrained Newton for lam'' = A lam^3, period 2 pi.
+def solve_torus(A: float, init: np.ndarray, tol: float = 1e-10,
+                max_iter: int = 60) -> TorusRun:
+    """Mean-constrained Newton for lam'' = A lam^3, period 2 pi: the
+    reduction in the Ricci-flat case a = 0.
 
     The period integral of lam'' vanishes identically, so a solution needs
     A * integral(lam^3) = 0; the mean constraint makes the system square and
@@ -600,8 +595,6 @@ def solve_torus(A: float, init: np.ndarray, a: float = 0.0,
     A != 0 with positive data converges only in the constrained sense and is
     reported 'obstructed'.
     """
-    if a != 0.0:
-        raise ValueError("the periodic reduction is stated for the Ricci-flat case a = 0")
     if not math.isfinite(A):
         raise ValueError(f"A must be finite, got {A}")
     lam = np.asarray(init, dtype=float)
@@ -632,11 +625,11 @@ def solve_torus(A: float, init: np.ndarray, a: float = 0.0,
 
     true_res = torus_equation_residual(lam, A)
     profile = RadialProfile(torus_grid(N), lam, "torus_1d",
-                            {"a": a, "A": A, "N": N, "tol": tol, "mean": m0},
+                            {"a": 0.0, "A": A, "N": N, "tol": tol, "mean": m0},
                             float(np.max(np.abs(true_res))))
     obstruction = A * float(np.sum(lam**3)) * dth
     if status == "converged":
-        status = "solved" if abs(obstruction) < obstruction_tol else "obstructed"
+        status = "solved" if abs(obstruction) < 1e-8 else "obstructed"
     return TorusRun(profile, status, obstruction, obstruction_history, max(laplacian_integrals),
                     iters_used)
 

@@ -677,6 +677,19 @@ def test_branch_lands_on_k_to(k_from, k_to, steps, N):
     assert abs(run.points[-1].k - k_to) <= 0.01
 
 
+def test_step_keeps_its_size_once_k_has_passed_k_to():
+    # the 1e-4 step floor is larger than the remaining share of 5.05 -> 5.0505,
+    # so k passes k_to before the last point; every later step keeps its size
+    run = continue_branch(2, 5.05, 5.0505, 20, N=400)
+    assert run.status == "ok" and len(run.points) == 20
+    ks = [p.k for p in run.points]
+    assert all(b > a for a, b in zip(ks, ks[1:]))
+    passed = next(i for i, k in enumerate(ks) if k >= 5.0505)
+    assert 0 < passed < len(ks) - 1
+    ds = np.diff([p.arclength for p in run.points])
+    assert np.allclose(ds[passed:], ds[passed - 1], rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("k_to", [math.nan, math.inf, 5.05])
 def test_branch_rejects_k_to_that_is_not_finite_or_equals_k_from(k_to):
     with pytest.raises(ValueError, match="k_to"):
@@ -756,9 +769,7 @@ def test_torus_laplacian_integral_telescopes():
         assert run.laplacian_integral_sup < 1e-12
 
 
-def test_torus_rejects_curved_case():
-    with pytest.raises(ValueError):
-        solve_torus(-1.0, np.ones(64), a=3.0)
+def test_torus_rejects_nonfinite_A():
     for A in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             solve_torus(A, np.ones(64))
