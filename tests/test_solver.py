@@ -690,6 +690,19 @@ def test_step_keeps_its_size_once_k_has_passed_k_to():
     assert np.allclose(ds[passed:], ds[passed - 1], rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("k_to, steps, N, message", [
+    # k passes k_to before the last point
+    (5.0505, 20, 400, "reached k_to"),
+    # the step cap keeps k well short of k_to after 3 points
+    (8.0, 3, 200, "emitted requested number of points"),
+])
+def test_branch_message_follows_the_final_k(k_to, steps, N, message):
+    run = continue_branch(2, 5.05, k_to, steps, N=N)
+    assert run.status == "ok" and len(run.points) == steps
+    assert run.message == message
+    assert (run.points[-1].k >= k_to) == (message == "reached k_to")
+
+
 @pytest.mark.parametrize("k_to", [math.nan, math.inf, 5.05])
 def test_branch_rejects_k_to_that_is_not_finite_or_equals_k_from(k_to):
     with pytest.raises(ValueError, match="k_to"):
