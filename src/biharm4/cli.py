@@ -459,16 +459,13 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         cfg = _merge_config(args)
+        # argparse requires a subcommand, so args.cmd is one of these; built per
+        # call, so a cmd_* that a tracer or a test rebinds is the one called
+        commands = {"verify": cmd_verify, "mobius-audit": cmd_mobius_audit,
+                    "solve": cmd_solve, "sweep": cmd_sweep}
         # out-of-range input raises ArithmeticError, not a numpy warning
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            if args.cmd == "verify":
-                return cmd_verify(cfg)
-            if args.cmd == "mobius-audit":
-                return cmd_mobius_audit(cfg)
-            if args.cmd == "solve":
-                return cmd_solve(cfg)
-            if args.cmd == "sweep":
-                return cmd_sweep(cfg)
+            return commands[args.cmd](cfg)
     except (solver.BranchError, solver.ConvergenceError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         if getattr(exc, "residual", None) is not None:
@@ -480,7 +477,6 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # a grid or solve too large to allocate
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

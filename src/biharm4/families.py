@@ -61,15 +61,6 @@ class Bubble:
     def value(self, x) -> float:
         return self.closed_form.value(x)
 
-    def gradient(self, x) -> np.ndarray:
-        return self.closed_form.grad(x)
-
-    def hessian(self, x) -> np.ndarray:
-        return self.closed_form.hess(x)
-
-    def laplacian(self, x) -> float:
-        return float(np.trace(self.hessian(x)))
-
     def as_field(self) -> ScalarField4:
         return self.closed_form.field(name=f"bubble(n={self.n},delta={self.delta})")
 

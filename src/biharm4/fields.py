@@ -11,11 +11,13 @@ carries it as `closed_form`, which gives exact jets of ln lam on a batch of
 points.  Any other field gets the same jets from one 41-point stencil of
 central differences (`fd_jets`); `jets` picks whichever applies.
 
-`_second_order` gives lam, grad lam, |grad lam|_g^2 and Delta_g lam on a
-batch: from those exact jets for a closed form, else per row from the
-field's `grad`/`hess` and one (2n+1)-point central stencil (`_central`)
-for what it lacks; the per-point operators are its one-row views.  Only
-the curved metric is restricted to dimension 4.
+The metric's factor mu is a LogQuadratic too, the constant 1 for the
+flat metric, and every operator takes its exact jets, so the flat and
+round charts share one path.  `_second_order` gives lam, grad lam,
+|grad lam|_g^2 and Delta_g lam on a batch: from exact jets for a closed
+form, else per row from the field's `grad`/`hess` and one (2n+1)-point
+central stencil (`_central`) for what it lacks; the per-point operators
+are its one-row views.  Only the curved metric is restricted to dimension 4.
 """
 
 from __future__ import annotations
@@ -338,17 +340,16 @@ class EinsteinDatum:
         return self.n * self.a
 
 
-_SPHERICAL_MU = LogQuadratic(2.0, (quadratic_term(-1.0, c0=1.0),))
-
-
-def spherical_mu() -> ScalarField4:
-    """Conformal factor of the round chart metric, mu = 2/(1+|x|^2)."""
-    return _SPHERICAL_MU.field(name="spherical_mu")
+_MU = {"flat": LogQuadratic(1.0), "spherical": LogQuadratic(2.0, (quadratic_term(-1.0, c0=1.0),))}
 
 
 @dataclass(frozen=True)
 class ConformalMetricDescriptor:
-    """g = mu^2 dx^2; kind 'flat' means mu = 1, 'spherical' means mu = 2/(1+|x|^2)."""
+    """g = mu^2 dx^2; kind 'flat' means mu = 1, 'spherical' means mu = 2/(1+|x|^2).
+
+    `mu` is the factor as a LogQuadratic for either kind, so every operator
+    reads its exact jets the same way: those of the factor 1 are ones and zeros.
+    """
 
     kind: str = "flat"
 
@@ -364,20 +365,19 @@ class ConformalMetricDescriptor:
     def spherical(cls) -> "ConformalMetricDescriptor":
         return cls("spherical")
 
-    def factor(self) -> ScalarField4:
-        if self.kind == "flat":
-            raise ValueError("flat metric has no conformal factor field")
-        return spherical_mu()
+    @property
+    def mu(self) -> LogQuadratic:
+        return _MU[self.kind]
 
 
 FLAT = ConformalMetricDescriptor.flat()
 
 
 def _jet_terms(lam_jets, mu_jets):
-    """(e, grad m, Hess m, s, L) from the jets of u = ln lam and m = ln mu (None if flat),
+    """(e, grad m, Hess m, s, L) from the jets of u = ln lam and m = ln mu,
     with e = mu^-2, s = |grad u|^2, L = Delta u + 2 <grad m, grad u>: Delta_g u = e L."""
-    lam, gu, Hu, _ = lam_jets
-    mu, gm, Hm, _ = (np.ones(len(lam)), np.zeros_like(gu), np.zeros_like(Hu), None) if mu_jets is None else mu_jets
+    _, gu, Hu, _ = lam_jets
+    mu, gm, Hm, _ = mu_jets
     e = mu**-2.0
     s, gmu = np.einsum("ki,ki->k", gu, gu)[:, None], np.einsum("ki,ki->k", gm, gu)[:, None]
     return e[:, None], gm, Hm, s, np.trace(Hu, axis1=1, axis2=2)[:, None] + 2.0 * gmu
@@ -394,8 +394,7 @@ def _lam_terms(lam_jets, terms):
 def _grid_jets(lam: ScalarField4, X: np.ndarray, metric: ConformalMetricDescriptor, h: float | None = None):
     """(ok, jets of ln lam, their `_jet_terms` with the exact jets of ln mu) at the rows where lam is defined."""
     ok, lam_jets = jets(lam, X, _step(h, FD_JET_STEP))
-    mu_jets = None if metric.kind == "flat" else metric.factor().closed_form.jets(X[ok])
-    return ok, lam_jets, _jet_terms(lam_jets, mu_jets)
+    return ok, lam_jets, _jet_terms(lam_jets, metric.mu.jets(X[ok]))
 
 
 def _second_order(f: ScalarField4, X: np.ndarray, metric: ConformalMetricDescriptor, h: float | None = None):
@@ -422,7 +421,7 @@ def _second_order(f: ScalarField4, X: np.ndarray, metric: ConformalMetricDescrip
         except DomainError:
             pass
     G = G[ok]
-    mu, gm = (1.0, np.zeros_like(G)) if metric.kind == "flat" else metric.factor().closed_form.jets(X[ok])[:2]
+    mu, gm = metric.mu.jets(X[ok])[:2]
     return ok, v[ok], G, np.einsum("ki,ki->k", G, G) / mu**2, (lap[ok] + 2.0 * np.einsum("ki,ki->k", gm, G)) / mu**2
 
 

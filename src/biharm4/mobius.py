@@ -275,14 +275,13 @@ def random_orthogonal(rng: np.random.Generator) -> np.ndarray:
     return Q @ np.diag(np.sign(np.diag(R)))
 
 
-def random_transform(rng: np.random.Generator, eps: int,
-                     translation_scale: float = 1.2,
-                     alpha_range: tuple = (0.5, 2.0)) -> MobiusTransform:
+def random_transform(rng: np.random.Generator, eps: int) -> MobiusTransform:
+    """Q Haar-random, each translation uniform in [-1.2, 1.2]^4 and alpha in [0.5, 2]."""
     Q = random_orthogonal(rng)
     return MobiusTransform(
-        tuple(rng.uniform(-translation_scale, translation_scale, 4)),
-        tuple(rng.uniform(-translation_scale, translation_scale, 4)),
-        float(rng.uniform(*alpha_range)),
+        tuple(rng.uniform(-1.2, 1.2, 4)),
+        tuple(rng.uniform(-1.2, 1.2, 4)),
+        float(rng.uniform(0.5, 2.0)),
         tuple(map(tuple, Q)),
         eps,
     )

@@ -119,10 +119,10 @@ def _newton(residual: Callable, jac_solve: Callable, z0: np.ndarray, tol: float,
     F = residual(z)
     for it in range(max_iter + 1):
         nrm = float(np.max(np.abs(F)))
-        if not math.isfinite(nrm):
-            raise ConvergenceError("residual is not finite", iterate=z, residual=nrm)
         if monitor is not None:
             monitor(z)
+        if not math.isfinite(nrm):
+            raise ConvergenceError("residual is not finite", iterate=z, residual=nrm)
         if nrm < tol:
             return z, nrm, it, F
         if it == max_iter:
@@ -615,12 +615,11 @@ def solve_torus(A: float, init: np.ndarray, tol: float = 1e-10,
         return np.append(torus_equation_residual(z[:N], A) + z[N], np.mean(z[:N]) - m0)
 
     try:
-        z, _, iters_used, _ = _newton(residual, lambda z, rhs: _torus_newton_step(A, z, rhs),
-                                      np.append(lam, 0.0), tol, max_iter, n_positive=N,
-                                      monitor=record)
+        z = _newton(residual, lambda z, rhs: _torus_newton_step(A, z, rhs),
+                    np.append(lam, 0.0), tol, max_iter, n_positive=N, monitor=record)[0]
         status = "converged"
     except ConvergenceError as exc:
-        z, status, iters_used = exc.iterate, "diverged", max_iter
+        z, status = exc.iterate, "diverged"
     lam = z[:N]
 
     true_res = torus_equation_residual(lam, A)
@@ -630,8 +629,9 @@ def solve_torus(A: float, init: np.ndarray, tol: float = 1e-10,
     obstruction = A * float(np.sum(lam**3)) * dth
     if status == "converged":
         status = "solved" if abs(obstruction) < 1e-8 else "obstructed"
+    # the monitor saw the start and every accepted step, however the solve ended
     return TorusRun(profile, status, obstruction, obstruction_history, max(laplacian_integrals),
-                    iters_used)
+                    len(obstruction_history) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -491,6 +491,18 @@ def _readme_examples():
 README_EXAMPLES = _readme_examples()
 
 
+def test_readme_library_quick_tour_prints_what_its_comments_claim():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## Library quick tour\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    norm, classification, residual_sup = out.getvalue().split()
+    assert float(norm) < 1e-12
+    assert classification == "proper_biharmonic"
+    assert float(residual_sup) < 1e-12
+
+
 def test_readme_lists_ten_cli_examples():
     assert len(README_EXAMPLES) == 10
     assert [code for _, code in README_EXAMPLES].count(EXIT_SOLVER) == 1

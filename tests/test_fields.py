@@ -15,6 +15,7 @@ from biharm4.fields import (
     LogQuadratic,
     ScalarField4,
     SingularLocus,
+    UnsupportedDimensionError,
     fd_consistency,
     fd_gradient,
     fd_jets,
@@ -159,6 +160,14 @@ def test_laplace_beltrami_flat_equals_flat_laplacian():
     for _ in range(10):
         x = rng.uniform(-2, 2, 4)
         assert laplace_beltrami(f, flat, x) == laplacian_flat(f, x)
+
+
+def test_laplace_beltrami_is_curved_only_in_dimension_four():
+    b3 = Bubble(3, 1.0, (0.0,) * 3).as_field()
+    x = np.array([0.3, -0.2, 0.5])
+    assert laplace_beltrami(b3, ConformalMetricDescriptor.flat(), x) == laplacian_flat(b3, x)
+    with pytest.raises(UnsupportedDimensionError):
+        laplace_beltrami(b3, ConformalMetricDescriptor.spherical(), x)
 
 
 def test_laplace_beltrami_spherical_constant_zero():

@@ -143,7 +143,7 @@ def test_gradient_form_identity_in_the_chart_metric():
     from biharm4.mobius import mobius_conformal_factor, random_transform
 
     sph = ConformalMetricDescriptor.spherical()
-    mu = sph.factor()
+    mu = sph.mu
     rng = np.random.default_rng(6)
     T = random_transform(rng, 2)
     lam = mobius_conformal_factor(T, "sphere-sphere")
@@ -348,6 +348,13 @@ def test_isoparametric_n6_radius_field_oracle():
     assert r1 == pytest.approx(0.0, abs=1e-12)
     assert r2 == pytest.approx(-4.0 + 20.0 * math.log(r) + 4.0 * C, abs=1e-10)
     assert abs(r2) > 1e-3
+
+
+def test_curved_biharmonic_residual_rejects_dimension_three():
+    b3 = Bubble(3, 1.0, (0.0,) * 3).as_field()
+    with pytest.raises(UnsupportedDimensionError):
+        biharmonic_residual(b3, EinsteinDatum(3, 0.0), [0.3, -0.2, 0.5],
+                            metric=ConformalMetricDescriptor.spherical())
 
 
 def test_isoparametric_rejects_dimension_four():

@@ -703,6 +703,19 @@ def test_branch_message_follows_the_final_k(k_to, steps, N, message):
     assert (run.points[-1].k >= k_to) == (message == "reached k_to")
 
 
+def test_branch_stalls_when_every_corrector_fails(monkeypatch):
+    def fail(*args):
+        raise ConvergenceError("corrector failed", residual=1.0)
+
+    first = continue_branch(2, 5.05, 6.0, 1, N=100).points[0]
+    monkeypatch.setattr(solver, "_bordered_corrector", fail)
+    run = continue_branch(2, 5.05, 6.0, 5, N=100)
+    assert run.status == "stalled"
+    assert len(run.points) == 1 and run.points[0].k == first.k
+    assert np.array_equal(run.points[0].profile.values, first.profile.values)
+    assert run.message.startswith("continuation step collapsed")
+
+
 @pytest.mark.parametrize("k_to", [math.nan, math.inf, 5.05])
 def test_branch_rejects_k_to_that_is_not_finite_or_equals_k_from(k_to):
     with pytest.raises(ValueError, match="k_to"):
@@ -780,6 +793,23 @@ def test_torus_laplacian_integral_telescopes():
     for A in (0.0, -1.0, 0.5):
         run = solve_torus(A, 1.2 + 0.2 * np.cos(th))
         assert run.laplacian_integral_sup < 1e-12
+
+
+def test_torus_diverged_run_reports_the_step_newton_stopped_at():
+    # the line search stalls at roundoff long before max_iter
+    run = solve_torus(0.0, 1.0 + 0.3 * np.sin(torus_grid(8192)))
+    assert run.status == "diverged"
+    assert run.newton_iterations < 60
+    assert run.newton_iterations == len(run.obstruction_history) - 1
+
+
+def test_torus_nonfinite_initial_residual_is_a_diverged_run():
+    with np.errstate(over="ignore"):
+        run = solve_torus(1e308, np.full(16, 2.0))
+    assert run.status == "diverged"
+    assert run.newton_iterations == len(run.obstruction_history) - 1 == 0
+    assert run.laplacian_integral_sup == 0.0
+    assert np.array_equal(run.profile.values, np.full(16, 2.0))
 
 
 def test_torus_rejects_nonfinite_A():
