@@ -299,7 +299,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         tol = cfg.getfloat("tol", 1e-10)
         profile = solver.solve_radial_r4(v0, r_max, N, tol=tol)
         axis = np.outer(profile.grid, np.eye(4)[0])
-        exact = families.Bubble(4, 2.0 / v0, (0.0,) * 4).closed_form.jets(axis)[0]
+        exact = families.Bubble(4, 2.0 / v0, (0.0,) * 4).closed_form.values(axis)
         sup_err = float(np.max(np.abs(profile.values - exact)))
         extra = {"bubble_delta": 2.0 / v0, "bubble_sup_error": sup_err,
                  "bubble_sup_error_sci": _sci(sup_err)}

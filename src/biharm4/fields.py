@@ -127,8 +127,8 @@ class LogQuadratic:
     {q_i > 0 for every i}; evaluation anywhere else raises DomainError.
     `jets` gives ln lam's exact gradient, Hessian and gradient of the
     Laplacian on a batch of points, which is all the 3rd-order residuals
-    need; `grad` and `hess` are its one-row views and `value` evaluates lam
-    at one point.
+    need; `grad` and `hess` are its one-row views, `values` is its lam alone
+    and `value` evaluates lam at one point.
     """
 
     C: float
@@ -176,19 +176,32 @@ class LogQuadratic:
         lam, g, H, _ = (j[0] for j in self.jets(np.asarray(x, dtype=float)[None]))
         return lam * (H + np.outer(g, g))
 
-    def _quadratics(self, X: np.ndarray):
-        """(M, p, q, grad q) per term at the rows of X."""
+    def _quadratics(self, X: np.ndarray, check: bool = True):
+        """(M, p, q, grad q) per term at the rows of X; with `check`, a term
+        with q <= 0 at some row raises DomainError."""
         for M, w, c, p in self.terms:
             MX = X @ M
-            yield M, p, np.einsum("ki,ki->k", X, MX + w) + c, 2.0 * MX + w
+            q = np.einsum("ki,ki->k", X, MX + w) + c
+            if check and not np.all(q > 0.0):
+                raise DomainError("log-quadratic factor has q <= 0 at some point of the batch")
+            yield M, p, q, 2.0 * MX + w
 
     def in_domain(self, X) -> np.ndarray:
         """Whether every q_i is positive, per row of X."""
         X = np.asarray(X, dtype=float)
         ok = np.ones(len(X), dtype=bool)
-        for _, _, q, _ in self._quadratics(X):
+        for _, _, q, _ in self._quadratics(X, check=False):
             ok &= q > 0.0
         return ok
+
+    def values(self, X) -> np.ndarray:
+        """lam at the rows of X, from the product loop of `jets` alone, so
+        equal to `jets(X)[0]` bit for bit."""
+        X = np.asarray(X, dtype=float)
+        lam = np.full(len(X), self.C)
+        for _, p, q, _ in self._quadratics(X):
+            lam *= q**p
+        return lam
 
     def jets(self, X):
         """(lam, grad ln lam, Hess ln lam, grad Delta ln lam) at the rows of X.
@@ -199,8 +212,6 @@ class LogQuadratic:
         lam = np.full(P, self.C)
         g, H, gL = np.zeros((P, n)), np.zeros((P, n, n)), np.zeros((P, n))
         for M, p, q, gq in self._quadratics(X):
-            if not np.all(q > 0.0):
-                raise DomainError("log-quadratic factor has q <= 0 at some point of the batch")
             r = (p / q)[:, None]
             gq_sq = np.einsum("ki,ki->k", gq, gq)[:, None]
             lam *= q**p

@@ -32,9 +32,16 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import lapack
 
 MAX_HALVINGS = 30
+
+
+@functools.cache
+def _lapack():
+    """scipy.linalg.lapack, imported on the first LAPACK call, so paths that
+    never solve load numpy only.  Callers look each routine up per call."""
+    from scipy.linalg import lapack
+    return lapack
 
 
 class ConvergenceError(RuntimeError):
@@ -162,9 +169,9 @@ def solve_banded(l_and_u, ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     if not (np.isfinite(ab).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
     if (l, u) == (1, 1) and ab.shape[0] == 3:
-        *_, x, info = lapack.dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
+        *_, x, info = _lapack().dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
     elif u == 0 and ab.shape[0] == l + 1:
-        x, info = lapack.dtbtrs(ab, b, uplo="L")
+        x, info = _lapack().dtbtrs(ab, b, uplo="L")
     else:
         raise ValueError(f"unsupported band shape (l, u) = ({l}, {u}) for {ab.shape[0]} stored rows")
     if info != 0:
@@ -347,8 +354,8 @@ def _det_is_negative(band: np.ndarray, k: float) -> bool:
 
     One LAPACK gttrf pivoted LU gives det = prod U_ii * (-1)^(row swaps);
     a zero pivot counts as positive."""
-    _, d, _, _, ipiv, _ = lapack.dgttrf(band[2, :-1], band[1] - 2.0 * k, band[0, 1:],
-                                        overwrite_d=1)
+    _, d, _, _, ipiv, _ = _lapack().dgttrf(band[2, :-1], band[1] - 2.0 * k, band[0, 1:],
+                                           overwrite_d=1)
     # ipiv[i] is i + 1 (1-based, no swap) or i + 2 (rows i, i + 1 swapped)
     swaps = int(ipiv.sum()) - ipiv.size * (ipiv.size + 1) // 2
     return (np.count_nonzero(d < 0.0) + swaps) % 2 == 1

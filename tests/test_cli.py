@@ -136,13 +136,41 @@ biharm4.sobolev_quotient(b, 4, method="tensor", tensor_nodes=2)
 loaded.append([m for m in heavy if m in sys.modules])
 print(loaded)
 """
+    assert _last_line_of_fresh_python(script) == "[[], [], [], [], []]"
+    assert (tmp_path / "verify.json").exists() and (tmp_path / "solve.json").exists()
+
+
+def test_scipy_linalg_loads_on_the_first_solve(tmp_path):
+    # import, verify, mobius-audit and Sobolev quotients never solve a banded
+    # system; a solve that takes a Newton step imports scipy.linalg
+    script = f"""
+import sys
+import biharm4
+from biharm4.cli import main
+loaded = ["scipy.linalg" in sys.modules]
+out = {str(tmp_path)!r}
+for args in (["verify", "--family", "bubble"], ["mobius-audit", "--random", "2", "--all-pairings"]):
+    main(args + ["--out", out + "/" + args[0] + ".json"])
+    loaded.append("scipy.linalg" in sys.modules)
+b = biharm4.Bubble(4, 1.0, (0.0,) * 4).as_field()
+biharm4.sobolev_quotient(b, 4)
+biharm4.sobolev_quotient(b, 4, method="tensor", tensor_nodes=2)
+loaded.append("scipy.linalg" in sys.modules)
+main(["solve", "s4", "--k", "5.1", "--init", "mode2:-0.1", "--out", out + "/solve.json"])
+loaded.append("scipy.linalg" in sys.modules)
+print(loaded)
+"""
+    assert _last_line_of_fresh_python(script) == "[False, False, False, False, True]"
+
+
+def _last_line_of_fresh_python(script: str) -> str:
+    """Run `script` in a new interpreter that imports biharm4 from this tree."""
     src = str(Path(biharm4.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[[], [], [], [], []]"
-    assert (tmp_path / "verify.json").exists() and (tmp_path / "solve.json").exists()
+    return proc.stdout.strip().splitlines()[-1]
 
 
 @pytest.mark.parametrize("args", [

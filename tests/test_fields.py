@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biharm4.families import Bubble, classical_example
+from biharm4.families import Bubble, classical_example, perturbed, solution_catalog
 from biharm4.fields import (
     ConformalMetricDescriptor,
     DomainError,
@@ -25,6 +25,7 @@ from biharm4.fields import (
     laplacian_flat,
     radial_power_field,
 )
+from biharm4.mobius import PAIRINGS, mobius_conformal_factor, random_transform
 from biharm4.residuals import biharmonic_residual, einstein_form_residual
 
 
@@ -294,3 +295,29 @@ def test_log_quadratic_jets_match_finite_differences(terms, C, x, split):
     assert jp[0] == pytest.approx(jl[0] * jr[0], rel=1e-13)
     for a, b, p in zip(jl[1:], jr[1:], jp[1:]):
         assert np.allclose(p, a + b, rtol=1e-12, atol=1e-12)
+
+
+def test_log_quadratic_values_equal_the_jets_lam_bit_for_bit():
+    rng = np.random.default_rng(17)
+    # radii spread over (0, 3), so the Poincare ball's |x| < 1 gets rows too
+    X = rng.standard_normal((300, 4))
+    X *= rng.uniform(0.0, 3.0, (300, 1)) / np.linalg.norm(X, axis=1, keepdims=True)
+    factors = [e.field.closed_form for e in solution_catalog()]
+    factors.append(perturbed(classical_example("sphere_identity").field).closed_form)
+    factors += [mobius_conformal_factor(random_transform(rng, eps), pairing).closed_form
+                for eps in (0, 2) for pairing in PAIRINGS]
+    for lq in factors:
+        Y = X[lq.in_domain(X)]
+        assert len(Y) >= 50
+        assert np.array_equal(lq.values(Y), lq.jets(Y)[0])
+
+
+@pytest.mark.parametrize("bad_row", [[1.0, 0.0, 0.0, 0.0], [0.0, 1.5, 0.0, 0.0]])
+def test_log_quadratic_values_raise_where_jets_do(bad_row):
+    # q = 1 - |x|^2 of the Poincare ball is 0 and then negative at these rows
+    lq = classical_example("poincare_ball").field.closed_form
+    X = np.array([[0.1, 0.2, 0.0, 0.0], bad_row])
+    for method in (lq.values, lq.jets):
+        with pytest.raises(DomainError):
+            method(X)
+    assert np.array_equal(lq.values(X[:1]), lq.jets(X[:1])[0])
