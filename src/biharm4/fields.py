@@ -177,20 +177,21 @@ class LogQuadratic:
         return lam * (H + np.outer(g, g))
 
     def _quadratics(self, X: np.ndarray, check: bool = True):
-        """(M, p, q, grad q) per term at the rows of X; with `check`, a term
-        with q <= 0 at some row raises DomainError."""
+        """(M, w, p, q, MX) per term at the rows of X, leaving grad q = 2 MX + w
+        to `jets`, the one caller that reads it; with `check`, a term with
+        q <= 0 at some row raises DomainError."""
         for M, w, c, p in self.terms:
             MX = X @ M
             q = np.einsum("ki,ki->k", X, MX + w) + c
             if check and not np.all(q > 0.0):
                 raise DomainError("log-quadratic factor has q <= 0 at some point of the batch")
-            yield M, p, q, 2.0 * MX + w
+            yield M, w, p, q, MX
 
     def in_domain(self, X) -> np.ndarray:
         """Whether every q_i is positive, per row of X."""
         X = np.asarray(X, dtype=float)
         ok = np.ones(len(X), dtype=bool)
-        for _, _, q, _ in self._quadratics(X, check=False):
+        for _, _, _, q, _ in self._quadratics(X, check=False):
             ok &= q > 0.0
         return ok
 
@@ -199,7 +200,7 @@ class LogQuadratic:
         equal to `jets(X)[0]` bit for bit."""
         X = np.asarray(X, dtype=float)
         lam = np.full(len(X), self.C)
-        for _, p, q, _ in self._quadratics(X):
+        for _, _, p, q, _ in self._quadratics(X):
             lam *= q**p
         return lam
 
@@ -211,7 +212,8 @@ class LogQuadratic:
         P, n = X.shape
         lam = np.full(P, self.C)
         g, H, gL = np.zeros((P, n)), np.zeros((P, n, n)), np.zeros((P, n))
-        for M, p, q, gq in self._quadratics(X):
+        for M, w, p, q, MX in self._quadratics(X):
+            gq = 2.0 * MX + w
             r = (p / q)[:, None]
             gq_sq = np.einsum("ki,ki->k", gq, gq)[:, None]
             lam *= q**p

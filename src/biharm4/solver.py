@@ -24,6 +24,8 @@ Solves are deterministic: identical inputs give bit-identical profiles.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import json
 import math
 import operator
@@ -38,10 +40,25 @@ MAX_HALVINGS = 30
 
 @functools.cache
 def _lapack():
-    """scipy.linalg.lapack, imported on the first LAPACK call, so paths that
-    never solve load numpy only.  Callers look each routine up per call."""
-    from scipy.linalg import lapack
-    return lapack
+    """scipy's compiled LAPACK wrappers `scipy/linalg/_flapack<suffix>`, the
+    routines `scipy.linalg.lapack` re-exports, loaded from their file on the
+    first LAPACK call.  Importing `scipy.linalg` would run its package
+    `__init__`, which pulls in numpy.f2py and numpy.testing, takes longer
+    than numpy's own import and adds about 17 MB; this one extension needs
+    only numpy.  Callers look each routine up per call."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("scipy's LAPACK module not found: scipy is not on sys.path")
+    linalg = Path(spec.submodule_search_locations[0], "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = linalg / ("_flapack" + suffix)
+        if path.is_file():
+            loader = importlib.machinery.ExtensionFileLoader("scipy.linalg._flapack", str(path))
+            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(loader.name, loader))
+            loader.exec_module(module)
+            return module
+    raise ImportError(f"scipy's LAPACK module not found: searched {linalg} for _flapack with suffixes "
+                      f"{importlib.machinery.EXTENSION_SUFFIXES}")
 
 
 class ConvergenceError(RuntimeError):

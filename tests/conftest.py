@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import biharm4
 
 _acceptance_lines = []
 
@@ -34,3 +41,19 @@ def second_order():
         return ratios, all(np.all((3.5 < r) & (r < 4.5)) for r in ratios)
 
     return check
+
+
+@pytest.fixture
+def fresh_python():
+    """Run a script in a new interpreter that imports biharm4 from this tree;
+    returns the last line the script printed."""
+
+    def run(script: str) -> str:
+        src = str(Path(biharm4.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip().splitlines()[-1]
+
+    return run

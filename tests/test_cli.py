@@ -4,10 +4,7 @@ import argparse
 import contextlib
 import io
 import json
-import os
 import shlex
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
@@ -117,7 +114,7 @@ def test_grid_too_large_to_allocate_is_usage_error(capsys):
     assert err.startswith("error: out of memory") and "Traceback" not in err
 
 
-def test_commands_load_no_heavy_scipy_module(tmp_path):
+def test_commands_load_no_heavy_scipy_module(tmp_path, fresh_python):
     # scipy.stats is only for scrambled grids; it, scipy.integrate and
     # scipy.special may not load on these paths, Sobolev quotients included
     script = f"""
@@ -136,41 +133,34 @@ biharm4.sobolev_quotient(b, 4, method="tensor", tensor_nodes=2)
 loaded.append([m for m in heavy if m in sys.modules])
 print(loaded)
 """
-    assert _last_line_of_fresh_python(script) == "[[], [], [], [], []]"
+    assert fresh_python(script) == "[[], [], [], [], []]"
     assert (tmp_path / "verify.json").exists() and (tmp_path / "solve.json").exists()
 
 
-def test_scipy_linalg_loads_on_the_first_solve(tmp_path):
-    # import, verify, mobius-audit and Sobolev quotients never solve a banded
-    # system; a solve that takes a Newton step imports scipy.linalg
+def test_no_command_loads_scipy_linalg(tmp_path, fresh_python):
+    # the solvers load scipy's compiled LAPACK module alone, never the
+    # scipy.linalg package with the numpy.f2py and numpy.testing it pulls in
     script = f"""
 import sys
 import biharm4
+from biharm4 import solver
 from biharm4.cli import main
-loaded = ["scipy.linalg" in sys.modules]
+banned = ("scipy.linalg", "numpy.f2py", "numpy.testing")
+loaded = [m for m in banned if m in sys.modules]
 out = {str(tmp_path)!r}
-for args in (["verify", "--family", "bubble"], ["mobius-audit", "--random", "2", "--all-pairings"]):
-    main(args + ["--out", out + "/" + args[0] + ".json"])
-    loaded.append("scipy.linalg" in sys.modules)
+codes = []
+for args in (["verify", "--family", "bubble"], ["mobius-audit", "--random", "2", "--all-pairings"],
+             ["solve", "s4", "--init", "mode2:-0.1"], ["solve", "radial"], ["sweep", "s4-branch"]):
+    codes.append(main(args + ["--out", out + "/" + "-".join(args[:2]) + ".json"]))
+    loaded += [m for m in banned if m in sys.modules]
 b = biharm4.Bubble(4, 1.0, (0.0,) * 4).as_field()
 biharm4.sobolev_quotient(b, 4)
 biharm4.sobolev_quotient(b, 4, method="tensor", tensor_nodes=2)
-loaded.append("scipy.linalg" in sys.modules)
-main(["solve", "s4", "--k", "5.1", "--init", "mode2:-0.1", "--out", out + "/solve.json"])
-loaded.append("scipy.linalg" in sys.modules)
-print(loaded)
+codes.append(len(solver.detect_bifurcation_points(1.5, 9.6, 0.05, N=400)))
+loaded += [m for m in banned if m in sys.modules]
+print(codes, loaded, solver._lapack.cache_info().currsize)
 """
-    assert _last_line_of_fresh_python(script) == "[False, False, False, False, True]"
-
-
-def _last_line_of_fresh_python(script: str) -> str:
-    """Run `script` in a new interpreter that imports biharm4 from this tree."""
-    src = str(Path(biharm4.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
-                          timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip().splitlines()[-1]
+    assert fresh_python(script) == "[0, 0, 0, 0, 0, 3] [] 1"
 
 
 @pytest.mark.parametrize("args", [

@@ -1,7 +1,10 @@
 """Radial, axisymmetric, and periodic solvers with their oracles."""
 
+import importlib.machinery
+import importlib.util
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -149,6 +152,46 @@ def _extended_forward_substitution(ab, b):
             s -= A[d, i - d] * x[i - d]
         x[i] = s / A[0, i]
     return x.astype(float)
+
+
+def test_lapack_module_gives_scipy_linalg_lapack_bit_for_bit(fresh_python):
+    # _lapack() first, then scipy.linalg; this module's own import of
+    # scipy.linalg covers the other order
+    script = """
+import sys
+import numpy as np
+from biharm4.solver import _lapack
+rng = np.random.default_rng(11)
+n = 200
+tri, lower = rng.uniform(-1.0, 1.0, (2, 3, n))
+tri[1] += 4.0
+lower[0] += 4.0
+dl, d, du = tri[2, :-1], tri[1], tri[0, 1:]
+systems = [("dgtsv", (dl, d, du, rng.standard_normal(n)), {}),
+           ("dgtsv", (dl, d, du, rng.standard_normal((n, 3))), {}),
+           ("dtbtrs", (lower, rng.standard_normal(n)), {"uplo": "L"}),
+           ("dgttrf", (dl, d, du), {})]
+def outputs(lapack):
+    return [np.asarray(r).tobytes() for name, args, kw in systems for r in getattr(lapack, name)(*args, **kw)]
+ours = outputs(_lapack())
+before = "scipy.linalg" in sys.modules
+from scipy.linalg import lapack
+print(before, ours == outputs(lapack), len(ours))
+"""
+    assert fresh_python(script) == "False True 18"
+
+
+def test_lapack_module_missing_raises_import_error_naming_the_path(monkeypatch, tmp_path):
+    spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    spec.submodule_search_locations.append(str(tmp_path))
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+    solver._lapack.cache_clear()
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+        solver._lapack()
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match="scipy is not on sys.path"):
+        solver._lapack()
+    assert solver._lapack.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("nrhs", [None, 4])
@@ -415,8 +458,9 @@ def test_a_window_around_zero_finds_the_constant_mode():
 
 def test_bifurcation_scan_takes_one_lu_per_k(monkeypatch):
     calls = []
-    dgttrf = lapack.dgttrf
-    monkeypatch.setattr(lapack, "dgttrf", lambda *a, **kw: calls.append(1) or dgttrf(*a, **kw))
+    flapack = solver._lapack()
+    dgttrf = flapack.dgttrf
+    monkeypatch.setattr(flapack, "dgttrf", lambda *a, **kw: calls.append(1) or dgttrf(*a, **kw))
     assert len(detect_bifurcation_points(1.5, 9.6, 0.05, N=400)) == 3
     # 163 grid points, then at most 64 bisection steps for each of the three brackets
     assert 163 <= len(calls) <= 163 + 3 * 64
