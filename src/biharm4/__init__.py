@@ -31,6 +31,7 @@ from .mobius import (
     MobiusTransform,
     TransformParseError,
     Verdict,
+    classify_many,
     classify_mobius,
     mobius_apply,
     mobius_compose,
@@ -49,7 +50,6 @@ from .residuals import (
     curvature_law_residual,
     einstein_form_residual,
     estimate_A,
-    isoparametric_residuals,
     residual_report,
     standard_grid,
     tension_norm,

@@ -202,19 +202,14 @@ def cmd_verify(cfg: RunConfig) -> int:
 # mobius-audit
 # ---------------------------------------------------------------------------
 
-def _audit_row(T: mobius.MobiusTransform, pairing: str) -> dict:
-    verdict = mobius.classify_mobius(T, pairing)
-    row = {
-        "pairing": pairing,
-        "eps": T.eps,
-        "verdict": verdict.classification,
-        "reason": verdict.reason,
-        "evidence": dict(verdict.evidence),
-    }
+def _audit_rows(transforms: list, pairing: str) -> list[dict]:
+    rows = [{"pairing": pairing, "eps": T.eps, "verdict": v.classification, "reason": v.reason,
+             "evidence": dict(v.evidence)} for T, v in zip(transforms, mobius.classify_many(transforms, pairing))]
     if pairing == "flat-sphere":
-        nf = mobius.mobius_normal_form(T)
-        row["normal_form"] = {"delta": nf.delta, "e": list(nf.x0)}
-    return row
+        for T, row in zip(transforms, rows):
+            nf = mobius.mobius_normal_form(T)
+            row["normal_form"] = {"delta": nf.delta, "e": list(nf.x0)}
+    return rows
 
 
 def cmd_mobius_audit(cfg: RunConfig) -> int:
@@ -232,10 +227,7 @@ def cmd_mobius_audit(cfg: RunConfig) -> int:
         for pairing in pairings:
             for eps in (0, 2):
                 rng = np.random.default_rng(seed + 7 * eps + 31 * PAIRINGS.index(pairing))
-                cell_rows = []
-                for _ in range(n_random):
-                    T = mobius.random_transform(rng, eps)
-                    cell_rows.append(_audit_row(T, pairing))
+                cell_rows = _audit_rows([mobius.random_transform(rng, eps) for _ in range(n_random)], pairing)
                 verdicts = sorted({r["verdict"] for r in cell_rows})
                 cells.append({
                     "pairing": pairing,
@@ -249,7 +241,7 @@ def cmd_mobius_audit(cfg: RunConfig) -> int:
         literal = cfg.get("transform")
         T = mobius.parse_transform(literal) if literal else mobius.MobiusTransform.inversion()
         for pairing in pairings:
-            rows.append(_audit_row(T, pairing))
+            rows.extend(_audit_rows([T], pairing))
     uniform_ok = all(c["uniform"] for c in cells) if cells else True
     out = {
         "command": "mobius-audit",

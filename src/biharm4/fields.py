@@ -8,8 +8,11 @@ negative spectrum.  For a conformal metric g = mu^2 dx^2 in dimension 4,
 Every closed-form conformal factor of the package is a LogQuadratic,
 C * prod_i q_i(x)^p_i with each q_i quadratic; a field built from one
 carries it as `closed_form`, which gives exact jets of ln lam on a batch of
-points.  Any other field gets the same jets from one 41-point stencil of
-central differences (`fd_jets`); `jets` picks whichever applies.
+points.  Their one kernel, `_jets`, takes points of shape (..., P, n), so
+factors that share one term layout get their jets in one call, with C, M,
+w and c stacked on the leading axes.  Any other field gets the same jets
+from one 41-point stencil of central differences (`fd_jets`); `jets` picks
+whichever applies.
 
 The metric's factor mu is a LogQuadratic too, the constant 1 for the
 flat metric, and every operator takes its exact jets, so the flat and
@@ -176,22 +179,11 @@ class LogQuadratic:
         lam, g, H, _ = (j[0] for j in self.jets(np.asarray(x, dtype=float)[None]))
         return lam * (H + np.outer(g, g))
 
-    def _quadratics(self, X: np.ndarray, check: bool = True):
-        """(M, w, p, q, MX) per term at the rows of X, leaving grad q = 2 MX + w
-        to `jets`, the one caller that reads it; with `check`, a term with
-        q <= 0 at some row raises DomainError."""
-        for M, w, c, p in self.terms:
-            MX = X @ M
-            q = np.einsum("ki,ki->k", X, MX + w) + c
-            if check and not np.all(q > 0.0):
-                raise DomainError("log-quadratic factor has q <= 0 at some point of the batch")
-            yield M, w, p, q, MX
-
     def in_domain(self, X) -> np.ndarray:
         """Whether every q_i is positive, per row of X."""
         X = np.asarray(X, dtype=float)
         ok = np.ones(len(X), dtype=bool)
-        for _, _, _, q, _ in self._quadratics(X, check=False):
+        for _, _, _, q, _ in _quadratics(self.terms, X, check=False):
             ok &= q > 0.0
         return ok
 
@@ -200,28 +192,43 @@ class LogQuadratic:
         equal to `jets(X)[0]` bit for bit."""
         X = np.asarray(X, dtype=float)
         lam = np.full(len(X), self.C)
-        for _, _, p, q, _ in self._quadratics(X):
+        for _, _, p, q, _ in _quadratics(self.terms, X):
             lam *= q**p
         return lam
 
     def jets(self, X):
-        """(lam, grad ln lam, Hess ln lam, grad Delta ln lam) at the rows of X.
+        """`_jets` at the rows of X: shapes (P,), (P, n), (P, n, n) and (P, n) for X of shape (P, n)."""
+        return _jets(self.C, self.terms, np.asarray(X, dtype=float))
 
-        Shapes (P,), (P, n), (P, n, n) and (P, n) for X of shape (P, n)."""
-        X = np.asarray(X, dtype=float)
-        P, n = X.shape
-        lam = np.full(P, self.C)
-        g, H, gL = np.zeros((P, n)), np.zeros((P, n, n)), np.zeros((P, n))
-        for M, w, p, q, MX in self._quadratics(X):
-            gq = 2.0 * MX + w
-            r = (p / q)[:, None]
-            gq_sq = np.einsum("ki,ki->k", gq, gq)[:, None]
-            lam *= q**p
-            g += r * gq
-            H += r[:, :, None] * (2.0 * M - gq[:, :, None] * gq[:, None, :] / q[:, None, None])
-            # grad of p (2 tr M / q - |grad q|^2 / q^2), with grad |grad q|^2 = 4 M grad q
-            gL -= (r / q[:, None]) * (2.0 * np.trace(M) * gq + 4.0 * gq @ M - 2.0 * gq_sq / q[:, None] * gq)
-        return lam, g, H, gL
+
+def _quadratics(terms, X: np.ndarray, check: bool = True):
+    """(M, w, p, q, MX) per term (M, w, c, p) at the points X of shape (..., P, n), leaving
+    grad q = 2 MX + w to `_jets`; with `check`, a term with q <= 0 somewhere raises DomainError."""
+    for M, w, c, p in terms:
+        MX = X @ M
+        q = np.einsum("...ki,...ki->...k", X, MX + w) + c
+        if check and not np.all(q > 0.0):
+            raise DomainError("log-quadratic factor has q <= 0 at some point of the batch")
+        yield M, w, p, q, MX
+
+
+def _jets(C, terms, X: np.ndarray):
+    """(lam, grad ln lam, Hess ln lam, grad Delta ln lam) of C prod_i q_i^p_i at X of shape (..., P, n).
+    A batch of factors with one term layout gives C, M, w and c the leading axes ... of X, then (1,),
+    (n, n), (1, n) and (1,); each p stays one float, as numpy rounds q**p differently for an array p."""
+    lam = np.full(X.shape[:-1], C)
+    g, H, gL = np.zeros(X.shape), np.zeros(X.shape + X.shape[-1:]), np.zeros(X.shape)
+    for M, w, p, q, MX in _quadratics(terms, X):
+        gq, qc = 2.0 * MX + w, q[..., None]
+        r = p / qc
+        gq_sq = np.einsum("...ki,...ki->...k", gq, gq)[..., None]
+        lam *= q**p
+        g += r * gq
+        H += r[..., None] * (2.0 * M[..., None, :, :] - gq[..., :, None] * gq[..., None, :] / qc[..., None])
+        # grad of p (2 tr M / q - |grad q|^2 / q^2), with grad |grad q|^2 = 4 M grad q
+        tr = np.trace(M, axis1=-2, axis2=-1)[..., None, None]
+        gL -= (r / qc) * (2.0 * tr * gq + 4.0 * gq @ M - 2.0 * gq_sq / qc * gq)
+    return lam, g, H, gL
 
 
 @functools.lru_cache

@@ -27,7 +27,8 @@ from .fields import (
     EinsteinDatum,
     LogQuadratic,
     ScalarField4,
-    _grid_jets,
+    _jet_terms,
+    _jets,
     _lam_terms,
     as_point,
     constant_field,
@@ -218,56 +219,78 @@ _NORMAL_FORM_POINTS.setflags(write=False)
 
 def classify_mobius(T: MobiusTransform, pairing: str,
                     n_points: int = 60, seed: int | None = None) -> Verdict:
-    """Classify T under the pairing, attaching numerical residual evidence.
+    """Classify T under the pairing: the one-transform case of `classify_many`."""
+    return classify_many([T], pairing, n_points, seed)[0]
 
-    One closed-form rule gives the verdict: harmonic when the factor is
-    constant (no quadratic term, or a sphere->sphere isometry), else
-    proper_biharmonic on the flat domain, where every factor solves the
-    cubic equation, else not_biharmonic.  The evidence never decides it (a
-    very wide bubble looks constant on the grid).  It comes from one batch
-    of exact jets of ln lam, and of ln mu on the spherical domain (|x| <= 3,
-    a = 3): the biharmonic residual and tension sup-norms, the factor range
-    for sphere->sphere, A fitted on the first 12 grid points for a flat
-    domain (None where the sum of lam^6 there is not a normal double), and
-    for flat->sphere the normal-form distance at 25 seeded points.
+
+def _stacked(factors, grids):
+    """(C, terms, X) of factors of one term layout, stacked as `_jets` takes a batch; one adds no axis."""
+    if len(factors) == 1:
+        return factors[0].C, factors[0].terms, grids[0]
+    terms = [(np.stack([f.terms[i][0] for f in factors]), np.stack([f.terms[i][1] for f in factors])[:, None],
+              np.array([f.terms[i][2] for f in factors])[:, None], p) for i, (*_, p) in enumerate(factors[0].terms)]
+    return np.array([f.C for f in factors])[:, None], terms, np.stack(grids)
+
+
+_REASONS = {"harmonic": "constant conformal factor: a homothety or sphere isometry",
+            "proper_biharmonic": "nonconstant factor solves the cubic equation on the flat domain",
+            "not_biharmonic": "nonconstant factor on the round domain fails the cubic reduction"}
+
+
+def classify_many(transforms, pairing: str, n_points: int = 60, seed: int | None = None) -> list[Verdict]:
+    """Classify each transform under the pairing, with numerical residual evidence, in input order.
+
+    One closed-form rule gives the verdict: harmonic when the factor is constant (no quadratic
+    term, or a sphere->sphere isometry), else proper_biharmonic on the flat domain, where every
+    factor solves the cubic equation, else not_biharmonic.  The evidence never decides it (a very
+    wide bubble looks constant on the grid).  It comes from exact jets of ln lam, and of ln mu on
+    the spherical domain (|x| <= 3, a = 3), on each transform's grid: the biharmonic residual and
+    tension sup-norms, the factor range for sphere->sphere, A fitted on the first 12 grid points
+    for a flat domain (None where the sum of lam^6 there is not a normal double), and for
+    flat->sphere the normal-form distance at 25 seeded points.  Factors that share one term
+    layout take one batch of jets, each with the arithmetic of a batch of one.
     """
     if pairing not in PAIRINGS:
         raise ValueError(f"unknown pairing {pairing!r}")
-    factor = mobius_conformal_factor(T, pairing)
     spherical_domain = pairing.startswith("sphere")
     metric = ConformalMetricDescriptor.spherical() if spherical_domain else ConformalMetricDescriptor.flat()
     datum = EinsteinDatum(4, 3.0 if spherical_domain else 0.0)
     radius = 3.0 if spherical_domain else 5.0
-    grid = standard_grid(n_points, radius, factor.singular_set, seed=seed)
-
-    # the grid keeps off the singular set, so the factor is defined at every row
-    _, lam_jets, terms = _grid_jets(factor, grid, metric)
-    bh = _residual_vectors(lam_jets, terms, datum.n, datum.a)
-    lam, _, grad_sq, lap = _lam_terms(lam_jets, terms)
-    evidence = {"biharmonic_residual_sup": float(np.max(np.linalg.norm(bh, axis=1))),
-                "tension_sup": float(np.max(_tension(datum.n, grad_sq))),
-                "einstein_a": datum.a, "grid_radius": radius, "n_points": int(len(grid))}
-    if not spherical_domain:
-        try:
-            fit = _least_squares_A(lam[:12], lap[:12], datum.a)
-            evidence.update(fitted_A=fit.value, fit_residual=fit.fit_residual)
-        except IllConditionedError:
-            evidence.update(fitted_A=None, fit_residual=None)
-    if pairing == "flat-sphere":
-        nf = mobius_normal_form(T)
-        got = factor.closed_form.values(_NORMAL_FORM_POINTS)
-        want = nf.closed_form.values(_NORMAL_FORM_POINTS)
-        evidence.update(normal_form_error=float(np.max(np.abs(got - want))), delta=nf.delta)
-    if pairing == "sphere-sphere":
-        evidence["factor_range"] = float(np.max(lam) - np.min(lam))
-
-    if not factor.closed_form.terms or (pairing == "sphere-sphere" and _isometry_parameters(T)):
-        return Verdict("harmonic", "constant conformal factor: a homothety or sphere isometry", evidence)
-    if not spherical_domain:
-        return Verdict("proper_biharmonic",
-                       "nonconstant factor solves the cubic equation on the flat domain", evidence)
-    return Verdict("not_biharmonic",
-                   "nonconstant factor on the round domain fails the cubic reduction", evidence)
+    factors = [mobius_conformal_factor(T, pairing) for T in transforms]
+    # the grids keep off the singular sets, so each factor is defined at every row
+    grids = [standard_grid(n_points, radius, f.singular_set, seed=seed) for f in factors]
+    layouts, verdicts = {}, [None] * len(transforms)
+    for k, f in enumerate(factors):
+        layouts.setdefault(tuple(t[3] for t in f.closed_form.terms), []).append(k)
+    for batch in layouts.values():
+        C, terms, X = _stacked([factors[k].closed_form for k in batch], [grids[k] for k in batch])
+        # the jets on all B * P rows, then each transform's rows from a (B, P) reshape
+        lam_jets = [j.reshape(-1, *j.shape[X.ndim - 1:]) for j in _jets(C, terms, X)]
+        mu_jets = [j.reshape(-1, *j.shape[X.ndim - 1:]) for j in metric.mu.jets(X)]
+        jet_terms = _jet_terms(lam_jets, mu_jets)
+        bh = np.linalg.norm(_residual_vectors(lam_jets, jet_terms, datum.n, datum.a), axis=1)
+        lams, _, grad_sq, laps = _lam_terms(lam_jets, jet_terms)
+        bh, tension, lams, laps = (v.reshape(len(batch), -1) for v in (bh, _tension(datum.n, grad_sq), lams, laps))
+        for k, bh_sup, tension_sup, lam, lap in zip(batch, bh.max(axis=1), tension.max(axis=1), lams, laps):
+            T, factor = transforms[k], factors[k]
+            evidence = {"biharmonic_residual_sup": float(bh_sup), "tension_sup": float(tension_sup),
+                        "einstein_a": datum.a, "grid_radius": radius, "n_points": int(len(grids[k]))}
+            if not spherical_domain:
+                try:
+                    fit = _least_squares_A(lam[:12], lap[:12], datum.a)
+                    evidence.update(fitted_A=fit.value, fit_residual=fit.fit_residual)
+                except IllConditionedError:
+                    evidence.update(fitted_A=None, fit_residual=None)
+            if pairing == "flat-sphere":
+                nf = mobius_normal_form(T)
+                gap = factor.closed_form.values(_NORMAL_FORM_POINTS) - nf.closed_form.values(_NORMAL_FORM_POINTS)
+                evidence.update(normal_form_error=float(np.max(np.abs(gap))), delta=nf.delta)
+            if pairing == "sphere-sphere":
+                evidence["factor_range"] = float(np.max(lam) - np.min(lam))
+            harmonic = not factor.closed_form.terms or (pairing == "sphere-sphere" and _isometry_parameters(T))
+            kind = "harmonic" if harmonic else "not_biharmonic" if spherical_domain else "proper_biharmonic"
+            verdicts[k] = Verdict(kind, _REASONS[kind], evidence)
+    return verdicts
 
 
 # ---------------------------------------------------------------------------

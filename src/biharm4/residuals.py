@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,7 +54,7 @@ from .fields import (
 
 GRID_EXCLUSION = 0.05
 
-EQUATIONS = ("yamabe", "biharmonic", "einstein_form", "curvature_law", "isoparametric")
+EQUATIONS = ("yamabe", "biharmonic", "einstein_form", "curvature_law")
 
 
 class IllConditionedError(ValueError):
@@ -209,18 +209,6 @@ def aubin_condition(k: float, datum: EinsteinDatum) -> bool:
     if datum.n < 4:
         raise UnsupportedDimensionError("the existence criterion is stated for n >= 4")
     return k < (datum.n - 2) / (4.0 * (datum.n - 1)) * datum.scalar_curvature
-
-
-def isoparametric_residuals(lam: ScalarField4, datum: EinsteinDatum,
-                            u: Callable[[float], float], uprime: Callable[[float], float],
-                            x, h: float = DEFAULT_FD_STEP) -> tuple[float, float]:
-    """The two n != 4 profile conditions: Delta lam = u'(lam) and
-    |grad lam|^2 = 2/(n-4) (lam u'(lam) - 4 u(lam) + a lam^2)."""
-    if datum.n == 4:
-        raise UnsupportedDimensionError("dimension 4 reduces to the cubic equation, not a profile pair")
-    v, _, gsq, lap = _at_point(_second_order, lam, x, FLAT, h)
-    return (float(lap - uprime(v)),
-            float(gsq - 2.0 / (datum.n - 4) * (v * uprime(v) - 4.0 * u(v) + datum.a * v**2)))
 
 
 # ---------------------------------------------------------------------------

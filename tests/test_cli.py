@@ -23,6 +23,7 @@ from biharm4.cli import (
     build_parser,
     main,
 )
+from biharm4.mobius import PAIRINGS, classify_mobius, mobius_normal_form, random_transform
 
 
 def run(args):
@@ -286,6 +287,28 @@ def test_audit_all_pairings_with_normal_forms(tmp_path):
     assert pairings == {"flat-flat", "flat-sphere", "sphere-flat", "sphere-sphere"}
     fs_rows = [r for r in rep["rows"] if r["pairing"] == "flat-sphere"]
     assert all("normal_form" in r and r["normal_form"]["delta"] > 0 for r in fs_rows)
+
+
+def test_audit_random_report_equals_one_classification_per_transform(tmp_path):
+    out = tmp_path / "audit.json"
+    assert run(["mobius-audit", "--random", "5", "--all-pairings", "--seed", "3", "--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())
+    rows = []
+    for pairing in PAIRINGS:
+        for eps in (0, 2):
+            # the per-cell draws of cmd_mobius_audit
+            rng = np.random.default_rng(3 + 7 * eps + 31 * PAIRINGS.index(pairing))
+            for T in [random_transform(rng, eps) for _ in range(5)]:
+                v = classify_mobius(T, pairing)
+                row = {"pairing": pairing, "eps": eps, "verdict": v.classification, "reason": v.reason,
+                       "evidence": v.evidence}
+                if pairing == "flat-sphere":
+                    nf = mobius_normal_form(T)
+                    row["normal_form"] = {"delta": nf.delta, "e": list(nf.x0)}
+                rows.append(row)
+    assert len(rows) == 40
+    # the report's own bytes, with its rows rebuilt one transform at a time
+    assert (json.dumps(dict(report, rows=rows), sort_keys=True, indent=1) + "\n").encode() == out.read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from biharm4.mobius import (
     PAIRINGS,
     MobiusTransform,
     TransformParseError,
+    classify_many,
     classify_mobius,
     mobius_apply,
     mobius_compose,
@@ -325,6 +326,45 @@ def test_classify_flat_pairings_need_two_fit_points():
         with pytest.raises(ValueError):
             classify_mobius(T, pairing, n_points=1)
     assert classify_mobius(T, "sphere-flat", n_points=1).evidence["n_points"] == 1
+
+
+def _batch_cases():
+    rng = np.random.default_rng(31)
+    cases = [(pairing, [random_transform(rng, eps) for _ in range(B)], None)
+             for pairing in PAIRINGS for eps in (0, 2) for B in (1, 2, 7)]
+    isometries = [sphere_isometry(eps, random_orthogonal(rng), rng.uniform(-1, 1, 4)) for eps in (0, 2, 2, 0)]
+    cases.append(("sphere-sphere", isometries + [random_transform(rng, 2)], None))
+    # mixed eps interleaves two term layouts on the flat->flat and sphere->flat pairings; alpha = 1e-110
+    # makes the sum of lam^6 underflow, so its flat-domain fit is None inside a batch
+    mixed = [random_transform(rng, eps) for eps in (2, 0, 0, 2, 0)]
+    mixed.append(parse_transform("eps=0 alpha=1e-110 tin=1,0,0,0"))
+    cases += [(pairing, mixed, None) for pairing in PAIRINGS]
+    cases += [(pairing, [random_transform(rng, eps) for eps in (0, 2, 2)], 7) for pairing in PAIRINGS]
+    return cases
+
+
+@pytest.mark.parametrize("pairing, transforms, seed", _batch_cases(),
+                         ids=lambda v: str(len(v)) if isinstance(v, list) else str(v))
+def test_classify_many_is_classify_mobius_per_transform(pairing, transforms, seed):
+    got = classify_many(transforms, pairing, seed=seed)
+    assert len(got) == len(transforms)
+    for T, v in zip(transforms, got):
+        want = classify_mobius(T, pairing, seed=seed)
+        assert (v.classification, v.reason) == (want.classification, want.reason)
+        assert list(v.evidence) == list(want.evidence)
+        for key, value in want.evidence.items():
+            assert v.evidence[key] == value and repr(v.evidence[key]) == repr(value), key
+
+
+def test_classify_many_input_checks():
+    assert classify_many([], "flat-flat") == []
+    T = MobiusTransform.inversion()
+    for transforms in ([], [T]):
+        with pytest.raises(ValueError):
+            classify_many(transforms, "flat-round")
+    for pairing in ("flat-flat", "flat-sphere"):
+        with pytest.raises(ValueError):
+            classify_many([T, MobiusTransform.identity()], pairing, n_points=1)
 
 
 # ---------------------------------------------------------------------------

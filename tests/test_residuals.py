@@ -35,7 +35,6 @@ from biharm4.residuals import (
     curvature_law_residual,
     einstein_form_residual,
     estimate_A,
-    isoparametric_residuals,
     residual_report,
     standard_grid,
     tension_norm,
@@ -306,61 +305,11 @@ def test_aubin_condition_table():
         aubin_condition(0.0, EinsteinDatum(3, 1.0))
 
 
-# ---------------------------------------------------------------------------
-# profile conditions away from dimension 4
-# ---------------------------------------------------------------------------
-
-def test_isoparametric_constant_profile():
-    c, a, n = 1.5, 2.0, 5
-    # u(s) = a s^2 / 4 has u'(c) = a c / 2 ... choose u with u'(c) = 0 and
-    # 4 u(c) = a c^2 instead: u = const = a c^2 / 4
-    u = lambda s: a * c**2 / 4.0
-    up = lambda s: 0.0
-    lam = ScalarField4(lambda x: c, lambda x: np.zeros(len(x)),
-                       lambda x: np.zeros((len(x), len(x))))
-    r1, r2 = isoparametric_residuals(lam, EinsteinDatum(n, a), u, up, np.zeros(5))
-    assert r1 == pytest.approx(0.0, abs=1e-14)
-    assert r2 == pytest.approx(0.0, abs=1e-14)
-
-
-def test_isoparametric_mismatch_detected():
-    b = Bubble(3, 1.0, (0.0,) * 3).as_field()
-    r1, r2 = isoparametric_residuals(b, EinsteinDatum(3, 0.0), lambda s: s, lambda s: 1.0,
-                                     np.array([0.4, 0.1, -0.2]))
-    assert abs(r1) > 1e-3 or abs(r2) > 1e-3
-
-
-def test_isoparametric_n6_radius_field_oracle():
-    # lam = |x| in R^6: Delta lam = 5/|x| forces u'(s) = 5/s, u = 5 ln s + C;
-    # the second residual is then 1 - (5 - 20 ln lam - 4C) = -4 + 20 ln r + 4C
-    C = 0.3
-    lam = ScalarField4(
-        lambda x: float(np.linalg.norm(x)),
-        lambda x: x / np.linalg.norm(x),
-        lambda x: np.eye(len(x)) / np.linalg.norm(x) - np.outer(x, x) / np.linalg.norm(x) ** 3,
-        singular_set=(SingularLocus((0.0,) * 6),),
-    )
-    u = lambda s: 5.0 * math.log(s) + C
-    up = lambda s: 5.0 / s
-    x = np.array([0.5, 0.2, -0.1, 0.3, 0.0, 0.4])
-    r = float(np.linalg.norm(x))
-    r1, r2 = isoparametric_residuals(lam, EinsteinDatum(6, 0.0), u, up, x)
-    assert r1 == pytest.approx(0.0, abs=1e-12)
-    assert r2 == pytest.approx(-4.0 + 20.0 * math.log(r) + 4.0 * C, abs=1e-10)
-    assert abs(r2) > 1e-3
-
-
 def test_curved_biharmonic_residual_rejects_dimension_three():
     b3 = Bubble(3, 1.0, (0.0,) * 3).as_field()
     with pytest.raises(UnsupportedDimensionError):
         biharmonic_residual(b3, EinsteinDatum(3, 0.0), [0.3, -0.2, 0.5],
                             metric=ConformalMetricDescriptor.spherical())
-
-
-def test_isoparametric_rejects_dimension_four():
-    b = Bubble(4, 1.0, (0.0,) * 4).as_field()
-    with pytest.raises(UnsupportedDimensionError):
-        isoparametric_residuals(b, EinsteinDatum(4, 0.0), lambda s: s, lambda s: 1.0, np.zeros(4))
 
 
 # ---------------------------------------------------------------------------
