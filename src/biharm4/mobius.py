@@ -16,6 +16,7 @@ orientation-reversing sign can be absorbed into Q.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,7 @@ from .fields import (
     quadratic_term,
     radial_power_field,
 )
-from .residuals import IllConditionedError, _least_squares_A, _residual_vectors, _tension, standard_grid
+from .residuals import GRID_EXCLUSION, IllConditionedError, _least_squares_A, _residual_vectors, _tension, standard_grid
 
 PAIRINGS = ("flat-flat", "flat-sphere", "sphere-flat", "sphere-sphere")
 ORTHOGONALITY_TOL = 1e-12
@@ -237,6 +238,18 @@ _REASONS = {"harmonic": "constant conformal factor: a homothety or sphere isomet
             "not_biharmonic": "nonconstant factor on the round domain fails the cubic reduction"}
 
 
+@functools.lru_cache(maxsize=4)
+def _domain(spherical: bool, n_points: int, seed: int | None):
+    """(metric, datum, radius, grid, mu's jets on the grid) of the round or flat domain, the arrays read-only."""
+    metric = ConformalMetricDescriptor.spherical() if spherical else ConformalMetricDescriptor.flat()
+    radius = 3.0 if spherical else 5.0
+    grid = standard_grid(n_points, radius, seed=seed)
+    mu_jets = metric.mu.jets(grid)
+    for a in (grid, *mu_jets):
+        a.flags.writeable = False
+    return metric, EinsteinDatum(4, 3.0 if spherical else 0.0), radius, grid, mu_jets
+
+
 def classify_many(transforms, pairing: str, n_points: int = 60, seed: int | None = None) -> list[Verdict]:
     """Classify each transform under the pairing, with numerical residual evidence, in input order.
 
@@ -244,21 +257,29 @@ def classify_many(transforms, pairing: str, n_points: int = 60, seed: int | None
     term, or a sphere->sphere isometry), else proper_biharmonic on the flat domain, where every
     factor solves the cubic equation, else not_biharmonic.  The evidence never decides it (a very
     wide bubble looks constant on the grid).  It comes from exact jets of ln lam, and of ln mu on
-    the spherical domain (|x| <= 3, a = 3), on each transform's grid: the biharmonic residual and
-    tension sup-norms, the factor range for sphere->sphere, A fitted on the first 12 grid points
-    for a flat domain (None where the sum of lam^6 there is not a normal double), and for
-    flat->sphere the normal-form distance at 25 seeded points.  Factors that share one term
-    layout take one batch of jets, each with the arithmetic of a batch of one.
+    the spherical domain (|x| <= 3, a = 3): the biharmonic residual and tension sup-norms, the
+    factor range for sphere->sphere, A fitted on the first 12 grid points for a flat domain (None
+    where the sum of lam^6 there is not a normal double), and for flat->sphere the normal-form
+    distance at 25 seeded points.  Factors that share one term layout take one batch of jets,
+    each with the arithmetic of a batch of one.
+
+    Each (round or flat domain, n_points, seed) has one record in an lru_cache of maxsize 4: the
+    read-only grid `standard_grid(n_points, radius, seed=seed)` and mu's read-only jets on it.  A
+    factor whose singular loci all keep GRID_EXCLUSION from its rows uses that grid, which is the
+    one `standard_grid` would draw for it; any other draws its own.  A batch all on the cached grid
+    reads mu's jets from the record.  Repeated classification in one process gains; a single call
+    does the work it did before.  A seed other than an int or None raises ValueError.
     """
     if pairing not in PAIRINGS:
         raise ValueError(f"unknown pairing {pairing!r}")
+    if seed is not None and not isinstance(seed, int):
+        raise ValueError(f"seed must be an int or None, got {seed!r}")
     spherical_domain = pairing.startswith("sphere")
-    metric = ConformalMetricDescriptor.spherical() if spherical_domain else ConformalMetricDescriptor.flat()
-    datum = EinsteinDatum(4, 3.0 if spherical_domain else 0.0)
-    radius = 3.0 if spherical_domain else 5.0
     factors = [mobius_conformal_factor(T, pairing) for T in transforms]
+    metric, datum, radius, grid, mu_jets = _domain(spherical_domain, n_points, seed)
     # the grids keep off the singular sets, so each factor is defined at every row
-    grids = [standard_grid(n_points, radius, f.singular_set, seed=seed) for f in factors]
+    grids = [grid if all(np.all(s.distance(grid) >= GRID_EXCLUSION) for s in f.singular_set)
+             else standard_grid(n_points, radius, f.singular_set, seed=seed) for f in factors]
     layouts, verdicts = {}, [None] * len(transforms)
     for k, f in enumerate(factors):
         layouts.setdefault(tuple(t[3] for t in f.closed_form.terms), []).append(k)
@@ -266,8 +287,11 @@ def classify_many(transforms, pairing: str, n_points: int = 60, seed: int | None
         C, terms, X = _stacked([factors[k].closed_form for k in batch], [grids[k] for k in batch])
         # the jets on all B * P rows, then each transform's rows from a (B, P) reshape
         lam_jets = [j.reshape(-1, *j.shape[X.ndim - 1:]) for j in _jets(C, terms, X)]
-        mu_jets = [j.reshape(-1, *j.shape[X.ndim - 1:]) for j in metric.mu.jets(X)]
-        jet_terms = _jet_terms(lam_jets, mu_jets)
+        if all(grids[k] is grid for k in batch):
+            mu = [np.concatenate([j] * len(batch)) for j in mu_jets]
+        else:
+            mu = [j.reshape(-1, *j.shape[X.ndim - 1:]) for j in metric.mu.jets(X)]
+        jet_terms = _jet_terms(lam_jets, mu)
         bh = np.linalg.norm(_residual_vectors(lam_jets, jet_terms, datum.n, datum.a), axis=1)
         lams, _, grad_sq, laps = _lam_terms(lam_jets, jet_terms)
         bh, tension, lams, laps = (v.reshape(len(batch), -1) for v in (bh, _tension(datum.n, grad_sq), lams, laps))

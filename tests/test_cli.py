@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import shlex
@@ -555,3 +556,20 @@ def test_readme_example_exit_code_and_byte_identical_rerun(argv, code, tmp_path,
     assert first[0] == code
     assert first[1] or first[2]  # a report on stdout or in a file
     assert _run_in(tmp_path / "second", argv, monkeypatch) == first
+
+
+# sha256 of the stdout reports of two README audit commands: no caching or batching in the
+# classification may move one bit of them
+_GOLDEN_REPORTS = [
+    (["mobius-audit", "--random", "20", "--pairing", "sphere-flat", "--seed", "1295943087"],
+     "c2d7ad9eaddf61d7c339c8985f136990e3c413a0dc58e55e7ea076e7353adf75"),
+    (["mobius-audit", "--transform", "eps=2 alpha=1.5 tout=0,0,0,0 tin=1,0,0,0 Q=identity", "--all-pairings"],
+     "94dc347a6f8406c1386ce7adf0a0b2491fcaed484e774dfb3c210c639e180958"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _GOLDEN_REPORTS, ids=["random", "all-pairings"])
+def test_audit_report_bytes_are_pinned(argv, digest, tmp_path, monkeypatch):
+    code, stdout, files = _run_in(tmp_path / "run", argv, monkeypatch)
+    assert (code, files) == (EXIT_OK, {})
+    assert hashlib.sha256(stdout.encode()).hexdigest() == digest

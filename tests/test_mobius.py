@@ -1,13 +1,24 @@
 """Mobius transforms: factors, normal forms, composition, classification."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from biharm4.fields import ConformalMetricDescriptor, DomainError, EinsteinDatum, fd_laplacian
+from biharm4 import mobius
+from biharm4.fields import (
+    ConformalMetricDescriptor,
+    DomainError,
+    EinsteinDatum,
+    LogQuadratic,
+    _jet_terms,
+    _jets,
+    _lam_terms,
+    fd_laplacian,
+)
 from biharm4.mobius import (
     PAIRINGS,
     MobiusTransform,
@@ -24,7 +35,16 @@ from biharm4.mobius import (
     sphere_isometry,
     transform_literal,
 )
-from biharm4.residuals import estimate_A, residual_report, standard_grid, tension_norm
+from biharm4.residuals import (
+    IllConditionedError,
+    _least_squares_A,
+    _residual_vectors,
+    _tension,
+    estimate_A,
+    residual_report,
+    standard_grid,
+    tension_norm,
+)
 
 I4 = tuple(map(tuple, np.eye(4)))
 
@@ -365,6 +385,111 @@ def test_classify_many_input_checks():
     for pairing in ("flat-flat", "flat-sphere"):
         with pytest.raises(ValueError):
             classify_many([T, MobiusTransform.identity()], pairing, n_points=1)
+
+
+def _uncached_evidence(transforms, pairing, n_points=60, seed=None):
+    """The evidence of `classify_many` from a fresh `standard_grid` per factor and mu's jets on
+    every batch, without the cached domain record: the bit-for-bit reference."""
+    spherical = pairing.startswith("sphere")
+    metric = ConformalMetricDescriptor.spherical() if spherical else ConformalMetricDescriptor.flat()
+    datum = EinsteinDatum(4, 3.0 if spherical else 0.0)
+    radius = 3.0 if spherical else 5.0
+    factors = [mobius_conformal_factor(T, pairing) for T in transforms]
+    grids = [standard_grid(n_points, radius, f.singular_set, seed=seed) for f in factors]
+    layouts, evidence = {}, [None] * len(transforms)
+    for k, f in enumerate(factors):
+        layouts.setdefault(tuple(t[3] for t in f.closed_form.terms), []).append(k)
+    for batch in layouts.values():
+        C, terms, X = mobius._stacked([factors[k].closed_form for k in batch], [grids[k] for k in batch])
+        lam_jets = [j.reshape(-1, *j.shape[X.ndim - 1:]) for j in _jets(C, terms, X)]
+        mu_jets = [j.reshape(-1, *j.shape[X.ndim - 1:]) for j in metric.mu.jets(X)]
+        jet_terms = _jet_terms(lam_jets, mu_jets)
+        bh = np.linalg.norm(_residual_vectors(lam_jets, jet_terms, datum.n, datum.a), axis=1)
+        lams, _, grad_sq, laps = _lam_terms(lam_jets, jet_terms)
+        bh, tension, lams, laps = (v.reshape(len(batch), -1) for v in (bh, _tension(datum.n, grad_sq), lams, laps))
+        for k, bh_sup, tension_sup, lam, lap in zip(batch, bh.max(axis=1), tension.max(axis=1), lams, laps):
+            ev = {"biharmonic_residual_sup": float(bh_sup), "tension_sup": float(tension_sup),
+                  "einstein_a": datum.a, "grid_radius": radius, "n_points": int(len(grids[k]))}
+            if not spherical:
+                try:
+                    fit = _least_squares_A(lam[:12], lap[:12], datum.a)
+                    ev.update(fitted_A=fit.value, fit_residual=fit.fit_residual)
+                except IllConditionedError:
+                    ev.update(fitted_A=None, fit_residual=None)
+            if pairing == "flat-sphere":
+                nf, P = mobius_normal_form(transforms[k]), mobius._NORMAL_FORM_POINTS
+                gap = factors[k].closed_form.values(P) - nf.closed_form.values(P)
+                ev.update(normal_form_error=float(np.max(np.abs(gap))), delta=nf.delta)
+            if pairing == "sphere-sphere":
+                ev["factor_range"] = float(np.max(lam) - np.min(lam))
+            evidence[k] = ev
+    return evidence
+
+
+def _cached_domain_cases():
+    rng = np.random.default_rng(47)
+    cases = [(pairing, [random_transform(rng, eps) for _ in range(B)], seed)
+             for pairing in PAIRINGS for eps in (0, 2) for B in (1, 7) for seed in (None, 7)]
+    # t_in on a row of the cached grid puts the pole there, so that transform draws its own
+    # grid inside a batch whose other members use the cached one
+    for pairing, radius in (("flat-flat", 5.0), ("sphere-flat", 3.0)):
+        for seed in (None, 7):
+            row = standard_grid(60, radius, seed=seed)[3]
+            on_row = MobiusTransform((0.5, 0.0, -0.2, 0.1), tuple(row), 1.3, I4, 2)
+            cases.append((pairing, [random_transform(rng, 2) for _ in range(3)] + [on_row], seed))
+    return cases
+
+
+@pytest.mark.parametrize("pairing, transforms, seed", _cached_domain_cases(),
+                         ids=lambda v: str(len(v)) if isinstance(v, list) else str(v))
+def test_classify_many_on_the_cached_domain_is_bit_identical_to_fresh_grids(pairing, transforms, seed):
+    want = _uncached_evidence(transforms, pairing, seed=seed)
+    for _ in range(2):      # the first call may fill the domain record, the second reads it
+        got = classify_many(transforms, pairing, seed=seed)
+        assert [repr(v.evidence) for v in got] == [repr(ev) for ev in want]
+
+
+def test_a_cached_domain_draws_no_grid_and_no_mu_jets(monkeypatch):
+    calls = {"grid": 0, "mu": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    # lam's jets go through `_jets` directly, so LogQuadratic.jets counts mu's
+    monkeypatch.setattr(mobius, "standard_grid", counting("grid", mobius.standard_grid))
+    monkeypatch.setattr(LogQuadratic, "jets", counting("mu", LogQuadratic.jets))
+    mobius._domain.cache_clear()
+    rng = np.random.default_rng(5)
+    for pairing, same_domain in (("flat-flat", "flat-sphere"), ("sphere-sphere", "sphere-flat")):
+        for seed in (None, 11):
+            classify_mobius(random_transform(rng, 0), pairing, n_points=41, seed=seed)
+            assert calls == {"grid": 1, "mu": 1}, (pairing, seed)
+            calls.update(grid=0, mu=0)
+            for p in (pairing, same_domain):
+                classify_many([random_transform(rng, eps) for eps in (0, 2, 2, 0)], p, n_points=41, seed=seed)
+                classify_mobius(random_transform(rng, 2), p, n_points=41, seed=seed)
+            assert calls == {"grid": 0, "mu": 0}, (pairing, seed)
+    # a pole on a cached row sends that factor to its own grid and mu's jets on it
+    pole = MobiusTransform((0.0,) * 4, tuple(mobius._domain(True, 41, None)[3][0]), 1.0, I4, 2)
+    classify_mobius(pole, "sphere-flat", n_points=41)
+    assert calls == {"grid": 1, "mu": 1}
+    assert mobius._domain.cache_info().currsize == 4
+
+
+def test_the_cached_domain_is_read_only():
+    *_, grid, mu_jets = mobius._domain(True, 60, None)
+    for a in (grid, *mu_jets):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
+@pytest.mark.parametrize("seed", [np.random.default_rng(1), 7.0, "7", np.int64(7)])
+def test_classify_many_rejects_a_seed_that_is_not_an_int(seed):
+    with pytest.raises(ValueError, match=re.escape(repr(seed))):
+        classify_many([MobiusTransform.inversion()], "flat-flat", seed=seed)
 
 
 # ---------------------------------------------------------------------------
